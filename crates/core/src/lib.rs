@@ -71,7 +71,7 @@ pub use batch::{
 pub use coalesce::{pack_panels, panel_columns, PanelQuery};
 pub use convergence::{ConvergenceCriteria, IterationStats, Norm};
 pub use incremental::{DeltaRerank, IncrementalConfig, IncrementalRanker, OverlayTransition};
-pub use order::{cmp_asc_nan_last, cmp_desc_nan_last};
+pub use order::{cmp_asc_nan_last, cmp_desc_nan_last, top_k_desc};
 pub use pagerank::PageRank;
 pub use power::{DanglingPolicy, SolverWorkspace};
 pub use proximity::{ProximityApprox, ProximityError, ProximityQuery, SpamProximity};

@@ -15,8 +15,14 @@
 //! panic fix); they are promoted here so `RankVector`, the rank-correlation
 //! metrics and the eval experiments share one policy instead of three
 //! re-implementations.
+//!
+//! [`top_k_desc`] is the one ranked-list primitive built on them: every
+//! top-k in the workspace (served `top_k`/`top_m` replies, the κ cut of the
+//! throttle heuristics, full rank orders) goes through it.
 
 use std::cmp::Ordering;
+
+use sr_graph::ids::node_range;
 
 /// Descending order with NaN sorted last (rank position ∞).
 ///
@@ -49,6 +55,30 @@ pub fn cmp_asc_nan_last(a: f64, b: f64) -> Ordering {
     }
 }
 
+/// The ids of the `k` highest `scores`, best first: descending by
+/// [`cmp_desc_nan_last`], ties broken by ascending id.
+///
+/// That comparator is a strict total order over ids, so the result is
+/// bitwise the list a full sort would give truncated to `min(k, n)` — ties,
+/// `±0.0` and NaN-last included — at O(n + k log k) instead of
+/// O(n log n): a `select_nth_unstable_by` partitions the top `k` to the
+/// front, then only that prefix is sorted. `k ≥ n` is the full rank order.
+pub fn top_k_desc(scores: &[f64], k: usize) -> Vec<u32> {
+    let by_rank = |a: &u32, b: &u32| {
+        cmp_desc_nan_last(scores[*a as usize], scores[*b as usize]).then(a.cmp(b))
+    };
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut idx: Vec<u32> = node_range(scores.len()).collect();
+    if k < idx.len() {
+        idx.select_nth_unstable_by(k - 1, by_rank);
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(by_rank);
+    idx
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +108,18 @@ mod tests {
             .min_by(|a, b| cmp_asc_nan_last(*a, *b))
             .unwrap();
         assert_eq!(m, 1.0);
+    }
+
+    #[test]
+    fn top_k_desc_is_the_sorted_prefix() {
+        let v = [0.5, f64::NAN, -0.0, 0.5, 0.0, 2.0, f64::NAN, -1.0];
+        let all = top_k_desc(&v, v.len());
+        // Ties by id, +0.0 above -0.0, NaNs last in id order.
+        assert_eq!(all, vec![5, 0, 3, 4, 2, 7, 1, 6]);
+        for k in 0..=v.len() + 2 {
+            assert_eq!(top_k_desc(&v, k), &all[..k.min(v.len())]);
+        }
+        assert!(top_k_desc(&[], 3).is_empty());
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Ranking vectors: scores plus the rank/percentile machinery the paper's
 //! evaluation (Figures 5–7) is phrased in.
 
-use sr_graph::ids::node_range;
-
 use crate::convergence::IterationStats;
-use crate::order::cmp_desc_nan_last;
+use crate::order::top_k_desc;
 
 /// The result of a ranking computation: one score per node plus solver
 /// diagnostics.
@@ -55,11 +53,7 @@ impl RankVector {
     /// *last* — an unknown score never wins the ranking. The former
     /// `partial_cmp(..).expect("scores are finite")` panicked here instead.
     pub fn sorted_desc(&self) -> Vec<u32> {
-        let mut idx: Vec<u32> = node_range(self.scores.len()).collect();
-        idx.sort_by(|&a, &b| {
-            cmp_desc_nan_last(self.scores[a as usize], self.scores[b as usize]).then(a.cmp(&b))
-        });
-        idx
+        top_k_desc(&self.scores, self.scores.len())
     }
 
     /// 1-based rank position of every node (1 = highest score).
@@ -94,18 +88,19 @@ impl RankVector {
         let mut sorted = self.scores.clone();
         // Ascending total order: NaN lands above +inf, i.e. at the tail,
         // where it cannot perturb the `x < s` partition of real scores.
-        sorted.sort_by(f64::total_cmp);
+        // Values only, so an unstable sort yields the same vector.
+        sorted.sort_unstable_by(f64::total_cmp);
         self.scores
             .iter()
             .map(|&s| 100.0 * sorted.partition_point(|&x| x < s) as f64 / n as f64)
             .collect()
     }
 
-    /// The `k` top-scored node ids.
+    /// The `k` top-scored node ids: bitwise the first `min(k, n)` entries
+    /// of [`sorted_desc`](RankVector::sorted_desc), selected in
+    /// O(n + k log k) rather than by sorting every score.
     pub fn top_k(&self, k: usize) -> Vec<u32> {
-        let mut order = self.sorted_desc();
-        order.truncate(k);
-        order
+        top_k_desc(&self.scores, k)
     }
 }
 

@@ -168,8 +168,14 @@ mod tests {
     use sr_graph::GraphBuilder;
 
     fn tiny_walks() -> WalkStore {
-        let path =
-            std::env::temp_dir().join(format!("sr_snapshot_walks_{}.bin", std::process::id()));
+        // One file per test thread: the tests run in parallel, and a file
+        // another test is truncating cannot be read back.
+        let thread = std::thread::current();
+        let test = thread.name().unwrap_or("main").replace(':', "_");
+        let path = std::env::temp_dir().join(format!(
+            "sr_snapshot_walks_{}_{test}.bin",
+            std::process::id()
+        ));
         let meta = WalkMeta {
             num_nodes: 3,
             walks: 0,

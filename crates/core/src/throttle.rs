@@ -14,7 +14,7 @@
 use sr_graph::ids::node_range;
 use sr_graph::{NodeId, WeightedGraph};
 
-use crate::order::cmp_desc_nan_last;
+use crate::order::top_k_desc;
 
 /// The per-source throttling vector `κ`.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,12 +74,8 @@ impl ThrottleVector {
     /// source full throttling. The former `partial_cmp(..).expect("finite
     /// scores")` panicked here instead.
     pub fn top_k_complete(scores: &[f64], k: usize) -> Self {
-        let mut idx: Vec<u32> = node_range(scores.len()).collect();
-        idx.sort_by(|&a, &b| {
-            cmp_desc_nan_last(scores[a as usize], scores[b as usize]).then(a.cmp(&b))
-        });
         let mut kappa = vec![0.0; scores.len()];
-        for &i in idx.iter().take(k) {
+        for i in top_k_desc(scores, k) {
             if !scores[i as usize].is_nan() {
                 kappa[i as usize] = 1.0;
             }
@@ -100,9 +96,10 @@ impl ThrottleVector {
         if scores.is_empty() {
             return ThrottleVector { kappa: Vec::new() };
         }
-        let mut sorted: Vec<f64> = scores.to_vec();
-        sorted.sort_by(|&a, &b| cmp_desc_nan_last(a, b));
-        let cap = sorted[k.saturating_sub(1).min(sorted.len() - 1)];
+        // The k-th largest score (the largest for k = 0, the smallest for
+        // k > n): the last id of the selected top-k.
+        let top = top_k_desc(scores, k.clamp(1, scores.len()));
+        let cap = scores[top[top.len() - 1] as usize];
         if cap.is_nan() || cap <= 0.0 {
             // NaN, zero or negative cap: nothing meaningful to scale by.
             return ThrottleVector::zeros(scores.len());

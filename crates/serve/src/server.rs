@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use sr_core::convergence::ConvergenceCriteria;
-use sr_core::{PageRank, QueryConfig, RankSnapshot, SnapshotRing, Teleport};
+use sr_core::{PageRank, QueryConfig, RankSnapshot, RankVector, SnapshotRing, Teleport};
 use sr_graph::{CrawlDelta, CsrGraph, NodeId, SourceAssignment};
 use sr_obs::{LatencyRecorder, QueryClass, Stopwatch};
 
@@ -161,8 +161,15 @@ pub fn serve(
     spam_seeds: Vec<u32>,
     config: &ServeConfig,
 ) -> Result<ServerHandle, ServeError> {
+    // One cache file per server: two servers of one process (the test
+    // harness runs them in parallel) must not rewrite each other's file.
+    static STARTED: AtomicU64 = AtomicU64::new(0);
+    let server_no = STARTED.fetch_add(1, Ordering::SeqCst);
     let cache_dir = config.cache_dir.clone().unwrap_or_else(std::env::temp_dir);
-    let cache_path = cache_dir.join(format!("sr_serve_cache_{}.walks", std::process::id()));
+    let cache_path = cache_dir.join(format!(
+        "sr_serve_cache_{}_{server_no}.walks",
+        std::process::id()
+    ));
     let (engine, seed_snapshot) =
         EpochEngine::seed(pages, assignment, spam_seeds, &config.engine, &cache_path)?;
 
@@ -349,17 +356,20 @@ fn class_of(request: &Request) -> QueryClass {
     }
 }
 
-fn domain_scores(snapshot: &RankSnapshot, domain: RankDomain) -> &[f64] {
+fn domain_vector(snapshot: &RankSnapshot, domain: RankDomain) -> &RankVector {
     match domain {
-        RankDomain::PageRank => snapshot.pagerank.scores(),
-        RankDomain::Resilient => snapshot.resilient.scores(),
-        RankDomain::SourceRank => snapshot.sourcerank.scores(),
-        RankDomain::Proximity => snapshot.proximity.scores(),
+        RankDomain::PageRank => &snapshot.pagerank,
+        RankDomain::Resilient => &snapshot.resilient,
+        RankDomain::SourceRank => &snapshot.sourcerank,
+        RankDomain::Proximity => &snapshot.proximity,
     }
 }
 
-fn ranked_pairs(scores: &[f64], ids: &[NodeId]) -> Vec<(NodeId, f64)> {
-    ids.iter().map(|&i| (i, scores[i as usize])).collect()
+/// A `Ranked` reply: the `k` top-scored `(id, score)` pairs of `vector`,
+/// best first.
+fn top_pairs(vector: &RankVector, k: u32) -> Response {
+    let ids = vector.top_k(k as usize);
+    Response::Ranked(ids.iter().map(|&i| (i, vector.score(i))).collect())
 }
 
 fn answer(request: &Request, shared: &Shared) -> Response {
@@ -384,17 +394,7 @@ fn answer_inner(request: &Request, shared: &Shared) -> Response {
                 )),
             }
         }
-        Request::TopK { domain, k } => {
-            let scores = domain_scores(&snapshot, *domain);
-            let vector = match domain {
-                RankDomain::PageRank => &snapshot.pagerank,
-                RankDomain::Resilient => &snapshot.resilient,
-                RankDomain::SourceRank => &snapshot.sourcerank,
-                RankDomain::Proximity => &snapshot.proximity,
-            };
-            let ids = vector.top_k(*k as usize);
-            Response::Ranked(ranked_pairs(scores, &ids))
-        }
+        Request::TopK { domain, k } => top_pairs(domain_vector(&snapshot, *domain), *k),
         Request::SourceScore { source } => {
             let n = snapshot.num_sources();
             if (*source as usize) < n {
@@ -429,7 +429,7 @@ fn answer_inner(request: &Request, shared: &Shared) -> Response {
             queries: shared.queries.load(Ordering::Relaxed), // lint-ok(atomic-ordering): telemetry read
         }),
         Request::DumpRanks { domain } => {
-            Response::Ranks(domain_scores(&snapshot, *domain).to_vec())
+            Response::Ranks(domain_vector(&snapshot, *domain).scores().to_vec())
         }
         Request::Shutdown => Response::Ok,
     }
@@ -474,10 +474,7 @@ fn answer_ppr(
                 Err(e) => return Response::ServerError(format!("approx engine: {e}")),
             };
             match engine.query(seeds, &shared.approx_query) {
-                Ok(vector) => {
-                    let ids = vector.top_k(top_m as usize);
-                    Response::Ranked(ranked_pairs(vector.scores(), &ids))
-                }
+                Ok(vector) => top_pairs(&vector, top_m),
                 Err(e) => Response::BadRequest(format!("approx query: {e}")),
             }
         }
@@ -492,10 +489,7 @@ fn answer_ppr(
                 return Response::ServerError("panel queue is closed".into());
             };
             match slot.wait() {
-                Ok(vector) => {
-                    let ids = vector.top_k(top_m as usize);
-                    Response::Ranked(ranked_pairs(vector.scores(), &ids))
-                }
+                Ok(vector) => top_pairs(&vector, top_m),
                 Err(e) => Response::ServerError(e),
             }
         }

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use sr_core::RankVector;
+use sr_core::{PageRank, QueryConfig, RankVector};
 use sr_gen::{generate, CrawlConfig, CrawlDeltaProducer, ProducerConfig};
 use sr_serve::engine::{EngineConfig, EpochEngine};
 use sr_serve::wire::{PprMode, RankDomain, Request, Response};
@@ -187,6 +187,108 @@ fn every_command_and_bitwise_ingest_parity() {
     client.shutdown().unwrap();
     handle.shutdown();
     assert_eq!(handle.reader_stalls(), 0);
+    std::fs::remove_file(&cache).ok();
+}
+
+/// Asserts a `Ranked` reply is exactly the first `min(k, n)` entries of
+/// `offline.sorted_desc()`: same ids in the same order, same score bits.
+fn assert_sorted_prefix(reply: &[(u32, f64)], offline: &RankVector, k: usize, what: &str) {
+    let order = offline.sorted_desc();
+    let expect: Vec<(u32, u64)> = order[..k.min(order.len())]
+        .iter()
+        .map(|&i| (i, offline.score(i).to_bits()))
+        .collect();
+    let got: Vec<(u32, u64)> = reply.iter().map(|&(i, s)| (i, s.to_bits())).collect();
+    assert_eq!(got, expect, "{what}: k = {k}");
+}
+
+/// A cut that splits the first group of tied scores in `v`'s sorted order,
+/// keeping one member of the group, if `v` has ties.
+fn tie_split(v: &RankVector) -> Option<usize> {
+    let order = v.sorted_desc();
+    order
+        .windows(2)
+        .position(|w| v.score(w[0]).to_bits() == v.score(w[1]).to_bits())
+        .map(|i| i + 1)
+}
+
+/// The cuts to query: `0, 1, 10, n, n + 3`, plus one that splits the first
+/// group of tied scores when there is one.
+fn cuts(v: &RankVector) -> Vec<usize> {
+    let n = v.len();
+    let mut ks = vec![0, 1, 10, n, n + 3];
+    ks.extend(tie_split(v));
+    ks
+}
+
+#[test]
+fn served_top_k_and_ppr_equal_the_offline_sorted_prefix() {
+    let crawl = generate(&CrawlConfig::tiny(42));
+    let spam_seeds = crawl.sample_spam_seed(3, 9);
+    let config = test_config();
+    let mut handle = serve(
+        crawl.pages.clone(),
+        &crawl.assignment,
+        spam_seeds.clone(),
+        &config,
+    )
+    .unwrap();
+    let mut client = ServeClient::connect(handle.addr()).unwrap();
+
+    // The seed epoch is deterministic: an offline seed is the served one.
+    let cache = std::env::temp_dir().join(format!(
+        "sr_serve_loopback_topk_{}.walks",
+        std::process::id()
+    ));
+    let (_, offline) = EpochEngine::seed(
+        crawl.pages.clone(),
+        &crawl.assignment,
+        spam_seeds,
+        &config.engine,
+        &cache,
+    )
+    .unwrap();
+
+    // PageRank has plateaus of tied no-in-link pages; a cut inside one
+    // leaves the id tie-break to decide which pages make the list.
+    assert!(
+        tie_split(&offline.pagerank).is_some(),
+        "the crawl must have tied PageRank plateaus"
+    );
+    for (domain, vector) in [
+        (RankDomain::PageRank, &offline.pagerank),
+        (RankDomain::Resilient, &offline.resilient),
+        (RankDomain::SourceRank, &offline.sourcerank),
+        (RankDomain::Proximity, &offline.proximity),
+    ] {
+        for k in cuts(vector) {
+            let reply = client.top_k(domain, u32::try_from(k).unwrap()).unwrap();
+            assert_sorted_prefix(&reply, vector, k, &format!("{domain:?} top_k"));
+        }
+    }
+
+    let engine_solver = PageRank::builder()
+        .alpha(config.engine.alpha)
+        .criteria(config.engine.criteria)
+        .finish();
+    let engine = engine_solver
+        .approx(&offline.cache_pages, &offline.walks)
+        .unwrap();
+    let query = QueryConfig {
+        epsilon: config.approx_epsilon,
+        ..QueryConfig::default()
+    };
+    let seeds = vec![1, 7];
+    let expect = engine.query(&seeds, &query).unwrap();
+    for m in cuts(&expect) {
+        let reply = client
+            .ppr(PprMode::Approx, seeds.clone(), u32::try_from(m).unwrap())
+            .unwrap();
+        assert_sorted_prefix(&reply, &expect, m, "approx ppr");
+    }
+
+    client.shutdown().unwrap();
+    handle.shutdown();
     std::fs::remove_file(&cache).ok();
 }
 

@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
-use sr_core::{throttle, ConvergenceCriteria, PageRank, SourceRank, Teleport, ThrottleVector};
+use sr_core::{
+    cmp_desc_nan_last, throttle, ConvergenceCriteria, IterationStats, PageRank, RankVector,
+    SourceRank, Teleport, ThrottleVector,
+};
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::transpose::transpose;
 use sr_graph::{CompressedGraph, GraphBuilder, SourceAssignment, WeightedGraph};
@@ -35,6 +38,94 @@ fn arb_stochastic(n: u32) -> impl Strategy<Value = WeightedGraph> {
             g
         })
     })
+}
+
+/// Strategy: rank scores drawn so that exact ties, `±0.0` and NaN are
+/// common, paired with a cut `k ∈ 0..=n+2`.
+fn arb_scores_and_k() -> impl Strategy<Value = (Vec<f64>, usize)> {
+    let score = (0u8..6, -1.0f64..1.0).prop_map(|(pick, x)| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::NAN,
+        3 => 0.25,
+        4 => 1.0,
+        _ => x,
+    });
+    proptest::collection::vec(score, 0..80).prop_flat_map(|scores| {
+        let n = scores.len();
+        (Just(scores), 0..=n + 2)
+    })
+}
+
+/// The full-sort descending order the selection primitive replaced.
+fn full_sort_desc(scores: &[f64]) -> Vec<u32> {
+    let mut idx: Vec<u32> = sr_graph::ids::node_range(scores.len()).collect();
+    idx.sort_by(|&a, &b| cmp_desc_nan_last(scores[a as usize], scores[b as usize]).then(a.cmp(&b)));
+    idx
+}
+
+/// `ThrottleVector::top_k_complete` as a full sort, for equivalence.
+fn full_sort_top_k_complete(scores: &[f64], k: usize) -> Vec<f64> {
+    let mut kappa = vec![0.0; scores.len()];
+    for &i in full_sort_desc(scores).iter().take(k) {
+        if !scores[i as usize].is_nan() {
+            kappa[i as usize] = 1.0;
+        }
+    }
+    kappa
+}
+
+/// `ThrottleVector::graded_linear` as a full sort, for equivalence.
+fn full_sort_graded_linear(scores: &[f64], k: usize) -> Vec<f64> {
+    if scores.is_empty() {
+        return Vec::new();
+    }
+    let mut sorted = scores.to_vec();
+    sorted.sort_by(|&a, &b| cmp_desc_nan_last(a, b));
+    let cap = sorted[k.saturating_sub(1).min(sorted.len() - 1)];
+    if cap.is_nan() || cap <= 0.0 {
+        return vec![0.0; scores.len()];
+    }
+    scores
+        .iter()
+        .map(|&s| {
+            if s.is_nan() {
+                0.0
+            } else {
+                (s / cap).clamp(0.0, 1.0)
+            }
+        })
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn top_k_selection_equals_full_sort_prefix(case in arb_scores_and_k()) {
+        let (scores, k) = case;
+        let full = full_sort_desc(&scores);
+        let r = RankVector::new(scores.clone(), IterationStats {
+            iterations: 0,
+            final_residual: 0.0,
+            converged: true,
+            residual_history: Vec::new(),
+        });
+        prop_assert_eq!(&r.sorted_desc(), &full);
+        prop_assert_eq!(r.top_k(k), full[..k.min(scores.len())].to_vec());
+        prop_assert_eq!(
+            bits(ThrottleVector::top_k_complete(&scores, k).as_slice()),
+            bits(&full_sort_top_k_complete(&scores, k))
+        );
+        prop_assert_eq!(
+            bits(ThrottleVector::graded_linear(&scores, k).as_slice()),
+            bits(&full_sort_graded_linear(&scores, k))
+        );
+    }
 }
 
 proptest! {
