@@ -575,6 +575,16 @@ mod tests {
     use sr_graph::transpose::transpose;
     use sr_graph::{CsrGraph, GraphBuilder};
 
+    /// The sr-par counters are process-global and the test harness runs
+    /// unit tests in parallel, so a test that resets and reads them would
+    /// also count chunks staged by a sibling's pipelined sweep. Every test
+    /// here that reads those counters or stages chunks holds this lock.
+    static PAR_COUNTERS: Mutex<()> = Mutex::new(());
+
+    fn lock_par_counters() -> std::sync::MutexGuard<'static, ()> {
+        PAR_COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn out_degrees(g: &CsrGraph) -> Vec<u32> {
         (0..g.num_nodes() as u32)
             .map(|u| u32::try_from(g.out_degree(u)).expect("degree fits u32"))
@@ -620,6 +630,7 @@ mod tests {
 
     #[test]
     fn streamed_sharded_solve_matches_in_ram_bitwise() {
+        let _counters = lock_par_counters();
         let g = GraphBuilder::from_edges_exact(
             6,
             vec![(0, 1), (1, 2), (2, 0), (3, 0), (2, 3), (5, 2), (0, 5)],
@@ -643,6 +654,7 @@ mod tests {
 
     #[test]
     fn pipeline_config_geometry_is_bitwise_invariant() {
+        let _counters = lock_par_counters();
         // Prefetch depth, span granularity, and thread count are pure
         // performance knobs: every combination must produce identical bits.
         let edges: Vec<(u32, u32)> = (0u32..200)
@@ -686,6 +698,7 @@ mod tests {
 
     #[test]
     fn hot_arenas_skip_refetch_after_first_sweep() {
+        let _counters = lock_par_counters();
         // With a budget covering the whole graph, sweep 1 prefetches every
         // span once; later sweeps gather from hot arenas and never touch
         // the disk or the decoder again — and the bits still match a pure

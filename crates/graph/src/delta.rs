@@ -18,7 +18,10 @@
 //!   `sr-core` consumes;
 //! * [`SourceGraphMaintainer`] — incremental [`SourceAssignment`] and
 //!   [`SourceGraph`] maintenance that re-extracts only the consensus rows
-//!   (§3.2) of sources actually touched by a delta.
+//!   (§3.2) of sources actually touched by a delta, with the same
+//!   consensus-row kernel [`crate::source_graph::extract`] runs over every
+//!   source: a touched row costs one pass over its pages' out-links plus a
+//!   sort of its distinct target sources.
 //!
 //! # Equivalence contract
 //!
@@ -28,9 +31,9 @@
 //! with [`crate::GraphBuilder`]: both produce sorted, deduplicated rows over
 //! the same node count. Likewise [`SourceGraphMaintainer::source_graph`]
 //! reproduces [`crate::source_graph::extract`] on the mutated graph
-//! *exactly* (same `f64` bits): consensus counts are small exact integers,
-//! rows are assembled in the same ascending-target order, and normalization
-//! divides the same operands. The differential tests in
+//! *exactly* (same `f64` bits) by construction: both run one kernel and row
+//! epilogue, consensus counts are exact integers, and each row is summed and
+//! normalized in ascending-target order. The differential tests in
 //! `tests/delta_differential.rs` pin both properties.
 
 use std::collections::BTreeMap;
@@ -38,7 +41,7 @@ use std::collections::BTreeMap;
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::ids::{node_id, node_range, NodeId, SourceId};
-use crate::source_graph::{self, DanglingPolicy, EdgeWeighting, SourceGraph, SourceGraphConfig};
+use crate::source_graph::{self, ConsensusScratch, SourceGraph, SourceGraphConfig};
 use crate::source_map::SourceAssignment;
 use crate::weighted::WeightedGraph;
 
@@ -347,10 +350,10 @@ impl CrawlDelta {
 /// affect another source's row because consensus weights (§3.2) are
 /// attributed to the *origin* source and rows are normalized independently.
 /// So a delta touching `k` pages re-extracts at most `k` consensus rows
-/// (plus rows of sources receiving new pages) instead of re-running the full
-/// `O(E_P log E_P)` extraction.
+/// (plus rows of sources receiving new pages) instead of re-running the
+/// extraction over every page edge.
 ///
-/// Rows are recomputed with the exact arithmetic of
+/// Rows are recomputed with the consensus-row kernel and row epilogue of
 /// [`source_graph::extract`], so the maintained graph stays bit-identical to
 /// a from-scratch extraction on the mutated page graph.
 #[derive(Debug, Clone)]
@@ -361,11 +364,21 @@ pub struct SourceGraphMaintainer {
     /// Pages of each source in ascending page order (append-only: the delta
     /// model never reassigns or deletes pages).
     pages_by_source: Vec<Vec<NodeId>>,
-    /// Normalized transition row per source: `(target, weight)` ascending by
-    /// target, self-edge always present (§3.3).
-    rows: Vec<Vec<(NodeId, f64)>>,
-    /// Structural (inter-source, no self-edge) targets per source.
-    structural_rows: Vec<Vec<NodeId>>,
+    /// Extracted rows, one per source.
+    rows: Vec<MaintainedRow>,
+    /// The consensus-row kernel's scratch, covering every source.
+    scratch: ConsensusScratch,
+}
+
+/// One source's rows of the maintained [`SourceGraph`].
+#[derive(Debug, Clone, Default)]
+struct MaintainedRow {
+    /// Transition targets, ascending, self-edge always present (§3.3).
+    targets: Vec<NodeId>,
+    /// Normalized weights aligned with `targets`.
+    weights: Vec<f64>,
+    /// Structural (inter-source, no self-edge) targets.
+    structural: Vec<NodeId>,
 }
 
 impl SourceGraphMaintainer {
@@ -377,19 +390,13 @@ impl SourceGraphMaintainer {
     ) -> Result<Self, GraphError> {
         let sg = source_graph::extract(page_graph, assignment, config)?;
         let num_sources = assignment.num_sources();
-        let mut rows = Vec::with_capacity(num_sources);
-        let mut structural_rows = Vec::with_capacity(num_sources);
-        for s in node_range(num_sources) {
-            rows.push(
-                sg.transitions()
-                    .neighbors(s)
-                    .iter()
-                    .copied()
-                    .zip(sg.transitions().edge_weights(s).iter().copied())
-                    .collect(),
-            );
-            structural_rows.push(sg.structural().neighbors(s).to_vec());
-        }
+        let rows = node_range(num_sources)
+            .map(|s| MaintainedRow {
+                targets: sg.transitions().neighbors(s).to_vec(),
+                weights: sg.transitions().edge_weights(s).to_vec(),
+                structural: sg.structural().neighbors(s).to_vec(),
+            })
+            .collect();
         let mut pages_by_source = vec![Vec::new(); num_sources];
         for (p, &s) in assignment.raw().iter().enumerate() {
             pages_by_source[s as usize].push(node_id(p));
@@ -399,7 +406,7 @@ impl SourceGraphMaintainer {
             map: assignment.raw().to_vec(),
             pages_by_source,
             rows,
-            structural_rows,
+            scratch: ConsensusScratch::new(num_sources),
         })
     }
 
@@ -466,8 +473,9 @@ impl SourceGraphMaintainer {
 
         // Grow the source space, then append new pages to their sources.
         self.pages_by_source.resize(new_num_sources, Vec::new());
-        self.rows.resize(new_num_sources, Vec::new());
-        self.structural_rows.resize(new_num_sources, Vec::new());
+        self.rows
+            .resize_with(new_num_sources, MaintainedRow::default);
+        self.scratch.grow(new_num_sources);
         let first_new_page = node_id(self.map.len());
         for (i, &s) in delta.new_page_sources.iter().enumerate() {
             self.map.push(s);
@@ -494,63 +502,26 @@ impl SourceGraphMaintainer {
         Ok(touched)
     }
 
-    /// Re-extracts the consensus row of source `s` from `graph`, mirroring
-    /// the arithmetic of [`source_graph::extract`] exactly.
+    /// Re-extracts the consensus row of source `s` from `graph` with the
+    /// kernel and row epilogue [`source_graph::extract`] runs.
     fn recompute_row(&mut self, graph: &DeltaOverlay, s: NodeId) {
-        // Consensus counts for this row: per page of `s`, the deduplicated
-        // set of target sources; then run-length counts over the sorted
-        // concatenation. Counts are small exact integers in f64.
-        let mut pairs: Vec<NodeId> = Vec::new();
-        let mut target_buf: Vec<NodeId> = Vec::new();
-        for &p in &self.pages_by_source[s as usize] {
-            target_buf.clear();
-            target_buf.extend(graph.row(p).iter().map(|&q| self.map[q as usize]));
-            target_buf.sort_unstable();
-            target_buf.dedup();
-            pairs.extend_from_slice(&target_buf);
-        }
-        pairs.sort_unstable();
-        let mut row: Vec<(NodeId, f64)> = Vec::new();
-        for d in pairs {
-            match row.last_mut() {
-                Some(&mut (last, ref mut c)) if last == d => *c += 1.0,
-                _ => row.push((d, 1.0)),
-            }
-        }
-
-        // Structural targets come from the raw consensus edges, self excluded.
-        self.structural_rows[s as usize] =
-            row.iter().map(|&(d, _)| d).filter(|&d| d != s).collect();
-
-        if self.config.weighting == EdgeWeighting::Uniform {
-            for e in &mut row {
-                e.1 = 1.0;
-            }
-        }
-
-        // Self-edge augmentation (§3.3): weight 0 if the page graph implies
-        // no intra-source consensus.
-        let self_idx = match row.binary_search_by_key(&s, |&(d, _)| d) {
-            Ok(i) => i,
-            Err(i) => {
-                row.insert(i, (s, 0.0));
-                i
-            }
-        };
-
-        // Dangling policy, then row normalization — same fold order (ascending
-        // target) and same operands as the full extraction.
-        let mut sum: f64 = row.iter().map(|&(_, w)| w).sum();
-        if sum == 0.0 && self.config.dangling == DanglingPolicy::SelfLoop {
-            row[self_idx].1 = 1.0;
-            sum = 1.0;
-        }
-        if sum > 0.0 {
-            for e in &mut row {
-                e.1 /= sum;
-            }
-        }
-        self.rows[s as usize] = row;
+        let raw = self
+            .scratch
+            .count_row(&self.pages_by_source[s as usize], &self.map, |p| {
+                graph.row(p)
+            });
+        let row = &mut self.rows[s as usize];
+        row.targets.clear();
+        row.weights.clear();
+        row.structural.clear();
+        source_graph::finish_row(
+            s,
+            raw,
+            self.config,
+            &mut row.structural,
+            &mut row.targets,
+            &mut row.weights,
+        );
     }
 
     /// Assembles the maintained state into a [`SourceGraph`] — bit-identical
@@ -564,13 +535,11 @@ impl SourceGraphMaintainer {
         let mut s_offsets = Vec::with_capacity(n + 1);
         s_offsets.push(0usize);
         let mut s_targets = Vec::new();
-        for s in 0..n {
-            for &(d, w) in &self.rows[s] {
-                t_targets.push(d);
-                t_weights.push(w);
-            }
+        for row in &self.rows {
+            t_targets.extend_from_slice(&row.targets);
+            t_weights.extend_from_slice(&row.weights);
             t_offsets.push(t_targets.len());
-            s_targets.extend_from_slice(&self.structural_rows[s]);
+            s_targets.extend_from_slice(&row.structural);
             s_offsets.push(s_targets.len());
         }
         let transitions = WeightedGraph::from_parts(t_offsets, t_targets, t_weights);

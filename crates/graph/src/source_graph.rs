@@ -17,10 +17,31 @@
 //!   throttling hangs.
 //!
 //! Rows of the resulting [`WeightedGraph`] are normalized to sum to 1.
+//!
+//! # The consensus-row kernel
+//!
+//! Every row of `G_S` depends only on the pages of its origin source, so
+//! extraction is one kernel applied per source. Pages are bucketed by source
+//! with an `O(n)` counting sort; for each source, the kernel walks its pages'
+//! out-links and counts each target source's unique origin pages in a
+//! per-worker scratch of one stamp/count slot per source; only the row's
+//! distinct targets are then sorted. A shared row epilogue applies the
+//! weighting, the §3.3 self-edge, the [`DanglingPolicy`] and normalization.
+//! [`extract`] runs the kernel over source ranges balanced by page-edge
+//! count and writes the CSRs directly;
+//! [`crate::delta::SourceGraphMaintainer`] runs the same kernel and epilogue
+//! on the rows a delta touches.
+//!
+//! Cost: one pass over the page edges plus a sort of each row's distinct
+//! targets, and `O(num_sources)` scratch per worker (8 bytes per source —
+//! `8n` bytes under the identity assignment). The output is bit-identical
+//! at every thread count: counts are exact integers, and each row is summed
+//! and normalized in ascending-target order by one worker.
 
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
-use crate::ids::{node_id, node_range, NodeId, SourceId};
+use crate::ids::{node_id, NodeId, SourceId};
+use crate::partition::EdgePartition;
 use crate::source_map::SourceAssignment;
 use crate::weighted::WeightedGraph;
 
@@ -148,116 +169,276 @@ impl SourceGraph {
 }
 
 /// Raw (unnormalized) source-edge counts: one triple `(s_i, s_j, count)` per
-/// distinct source edge, *including* self-edges with their true counts.
+/// distinct source edge, *including* self-edges with their true counts,
+/// ascending by `(s_i, s_j)`.
 ///
 /// `count` is the consensus weight of §3.2 — the number of unique pages of
-/// `s_i` linking into `s_j`.
+/// `s_i` linking into `s_j`. This is a flattening of the raw rows
+/// [`extract`] normalizes.
 pub fn consensus_counts(
     page_graph: &CsrGraph,
     assignment: &SourceAssignment,
 ) -> Result<Vec<(NodeId, NodeId, f64)>, GraphError> {
-    assignment.validate_for(page_graph)?;
-    let map = assignment.raw();
-    let n = page_graph.num_nodes();
-
-    // Phase 1 (parallel): per page, the deduplicated set of target sources.
-    // Each chunk of pages produces a local (src_source, dst_source) list.
-    let chunk = 16_384;
-    let locals: Vec<Vec<(NodeId, NodeId)>> = sr_par::map_chunks(n, chunk, |pages| {
-        let mut local = Vec::new();
-        let mut targets: Vec<NodeId> = Vec::new();
-        for p in pages {
-            let sp = map[p];
-            targets.clear();
-            targets.extend(
-                page_graph
-                    .neighbors(node_id(p))
-                    .iter()
-                    .map(|&q| map[q as usize]),
-            );
-            targets.sort_unstable();
-            targets.dedup();
-            local.extend(targets.iter().map(|&sq| (sp, sq)));
-        }
-        local
-    });
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(locals.iter().map(Vec::len).sum());
-    for mut local in locals {
-        pairs.append(&mut local);
-    }
-
-    // Phase 2: sort and run-length count into consensus weights.
-    sr_par::par_sort_unstable(&mut pairs);
-    let mut triples: Vec<(NodeId, NodeId, f64)> = Vec::new();
-    for pair in pairs {
-        match triples.last_mut() {
-            Some(&mut (s, d, ref mut c)) if (s, d) == pair => *c += 1.0,
-            _ => triples.push((pair.0, pair.1, 1.0)),
-        }
-    }
-    Ok(triples)
+    let blocks = fold_raw_rows(page_graph, assignment, Vec::new, |triples, s, raw| {
+        triples.extend(raw.iter().map(|&(d, c)| (s, d, f64::from(c))));
+    })?;
+    Ok(blocks.concat())
 }
 
 /// Extracts the source graph from a page graph and its source assignment.
+///
+/// Runs the consensus-row kernel (see the [module docs](self)) over
+/// edge-balanced source ranges in parallel and writes each finished row
+/// straight into the `T'` and structural CSRs. The result is bit-identical
+/// at every thread count: counts are exact integers, and each row is summed
+/// and normalized in ascending-target order by one worker.
 pub fn extract(
     page_graph: &CsrGraph,
     assignment: &SourceAssignment,
     config: SourceGraphConfig,
 ) -> Result<SourceGraph, GraphError> {
+    let blocks = fold_raw_rows(
+        page_graph,
+        assignment,
+        RowBlock::default,
+        |block, s, raw| {
+            finish_row(
+                s,
+                raw,
+                config,
+                &mut block.structural,
+                &mut block.targets,
+                &mut block.weights,
+            );
+            block
+                .ends
+                .push((block.targets.len(), block.structural.len()));
+        },
+    )?;
+
+    // Stitch the per-range blocks together in source order.
     let num_sources = assignment.num_sources();
-    let mut triples = consensus_counts(page_graph, assignment)?;
-
-    // Structural edges: distinct (s_i, s_j), i != j.
-    let structural = {
-        let mut b = crate::builder::GraphBuilder::with_nodes(num_sources);
-        for &(s, d, _) in &triples {
-            if s != d {
-                b.add_edge(s, d);
-            }
+    let mut t_offsets = Vec::with_capacity(num_sources + 1);
+    let mut s_offsets = Vec::with_capacity(num_sources + 1);
+    t_offsets.push(0usize);
+    s_offsets.push(0usize);
+    let mut t_targets = Vec::with_capacity(blocks.iter().map(|b| b.targets.len()).sum());
+    let mut t_weights = Vec::with_capacity(t_targets.capacity());
+    let mut s_targets = Vec::with_capacity(blocks.iter().map(|b| b.structural.len()).sum());
+    for block in blocks {
+        let (t_base, s_base) = (t_targets.len(), s_targets.len());
+        for &(t_end, s_end) in &block.ends {
+            t_offsets.push(t_base + t_end);
+            s_offsets.push(s_base + s_end);
         }
-        b.build()
-    };
-
-    if config.weighting == EdgeWeighting::Uniform {
-        for t in &mut triples {
-            t.2 = 1.0;
-        }
+        t_targets.extend_from_slice(&block.targets);
+        t_weights.extend_from_slice(&block.weights);
+        s_targets.extend_from_slice(&block.structural);
     }
-
-    // Self-edge augmentation: every source gets (s, s), weight 0 if absent.
-    let mut has_self = vec![false; num_sources];
-    for &(s, d, _) in &triples {
-        if s == d {
-            has_self[s as usize] = true;
-        }
-    }
-    for (s, seen) in has_self.iter().enumerate() {
-        if !seen {
-            triples.push((node_id(s), node_id(s), 0.0));
-        }
-    }
-
-    let mut transitions = WeightedGraph::from_triples(num_sources, triples);
-
-    // Dangling sources: rows whose total mass is zero.
-    if config.dangling == DanglingPolicy::SelfLoop {
-        for s in node_range(num_sources) {
-            if transitions.row_sum(s) == 0.0 {
-                let idx = transitions
-                    .neighbors(s)
-                    .binary_search(&s)
-                    .expect("self-edge guaranteed by augmentation");
-                transitions.edge_weights_mut(s)[idx] = 1.0;
-            }
-        }
-    }
-
-    transitions.normalize_rows();
     Ok(SourceGraph {
-        transitions,
-        structural,
+        transitions: WeightedGraph::from_parts(t_offsets, t_targets, t_weights),
+        structural: CsrGraph::from_parts(s_offsets, s_targets),
         num_pages: page_graph.num_nodes(),
     })
+}
+
+/// One source range's share of the [`extract`] output: rows in source
+/// order, `ends[i]` the (transition, structural) end offsets of row `i`
+/// within this block.
+#[derive(Default)]
+struct RowBlock {
+    ends: Vec<(usize, usize)>,
+    targets: Vec<NodeId>,
+    weights: Vec<f64>,
+    structural: Vec<NodeId>,
+}
+
+/// Runs the consensus-row kernel over every source of `assignment`, in
+/// parallel over source ranges balanced by page-edge count, and returns one
+/// accumulator per range in source order. `fold(acc, s, raw)` sees the raw
+/// row of each source of its range in ascending order.
+///
+/// Pages are bucketed by source with one counting sort; each worker owns
+/// one [`ConsensusScratch`], so the whole pass is one read of the page
+/// edges plus a sort of each row's distinct targets.
+fn fold_raw_rows<A, I, F>(
+    page_graph: &CsrGraph,
+    assignment: &SourceAssignment,
+    init: I,
+    fold: F,
+) -> Result<Vec<A>, GraphError>
+where
+    A: Send,
+    I: Fn() -> A + Sync,
+    F: Fn(&mut A, NodeId, &[(NodeId, u32)]) + Sync,
+{
+    assignment.validate_for(page_graph)?;
+    let num_sources = assignment.num_sources();
+    let map = assignment.raw();
+    let groups = assignment.group_pages();
+
+    // Per-source page-edge prefix sums: the work measure of a row.
+    let mut edge_prefix = vec![0usize; num_sources + 1];
+    for (&s, w) in map.iter().zip(page_graph.offsets().windows(2)) {
+        edge_prefix[s as usize + 1] += w[1] - w[0];
+    }
+    for s in 0..num_sources {
+        edge_prefix[s + 1] += edge_prefix[s];
+    }
+    let chunks = if page_graph.num_nodes() < sr_par::PAR_THRESHOLD {
+        1
+    } else {
+        sr_par::num_threads()
+    };
+    let ranges = EdgePartition::from_offsets(&edge_prefix, chunks);
+
+    Ok(sr_par::map_tasks(ranges.num_chunks(), |i| {
+        let mut scratch = ConsensusScratch::new(num_sources);
+        let mut acc = init();
+        for s in ranges.chunk(i) {
+            let s = node_id(s);
+            let raw = scratch.count_row(groups.pages_of(SourceId(s)), map, |p| {
+                page_graph.neighbors(p)
+            });
+            fold(&mut acc, s, raw);
+        }
+        acc
+    }))
+}
+
+/// Stamp of a target source no page of the current row has counted yet.
+/// Page ids are below `NodeId::MAX` (a graph holds at most `NodeId::MAX`
+/// nodes), so no page collides with it.
+const NO_PAGE: NodeId = NodeId::MAX;
+
+/// The per-target state of [`ConsensusScratch`]: the last origin page that
+/// counted the target, and how many distinct origin pages have.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    stamp: NodeId,
+    count: u32,
+}
+
+/// Per-worker scratch of the consensus-row kernel: one [`Slot`] (8 bytes)
+/// per source, all slots clean (unstamped, zero count) between rows.
+#[derive(Debug, Clone)]
+pub(crate) struct ConsensusScratch {
+    slots: Vec<Slot>,
+    /// Distinct target sources of the current row, in discovery order.
+    targets: Vec<NodeId>,
+    /// The finished raw row: `(target, count)`, ascending by target.
+    row: Vec<(NodeId, u32)>,
+}
+
+impl ConsensusScratch {
+    const CLEAN: Slot = Slot {
+        stamp: NO_PAGE,
+        count: 0,
+    };
+
+    /// Scratch covering source ids `0..num_sources`.
+    pub(crate) fn new(num_sources: usize) -> Self {
+        ConsensusScratch {
+            slots: vec![Self::CLEAN; num_sources],
+            targets: Vec::new(),
+            row: Vec::new(),
+        }
+    }
+
+    /// Widens the scratch to cover `num_sources` sources.
+    pub(crate) fn grow(&mut self, num_sources: usize) {
+        if self.slots.len() < num_sources {
+            self.slots.resize(num_sources, Self::CLEAN);
+        }
+    }
+
+    /// The consensus-row kernel (§3.2): the raw row of the source owning
+    /// `pages` — every target source with the number of *unique* origin
+    /// pages linking into it, ascending by target.
+    ///
+    /// `out_links(p)` is page `p`'s successor list and `map` the page →
+    /// source map. Each page stamps the targets it reaches, so a page with
+    /// many links into one source counts once; only the row's distinct
+    /// targets are sorted, and only their slots are reset.
+    pub(crate) fn count_row<'g>(
+        &mut self,
+        pages: &[NodeId],
+        map: &[NodeId],
+        out_links: impl Fn(NodeId) -> &'g [NodeId],
+    ) -> &[(NodeId, u32)] {
+        self.targets.clear();
+        for &p in pages {
+            for &q in out_links(p) {
+                let t = map[q as usize];
+                let slot = &mut self.slots[t as usize];
+                if slot.stamp != p {
+                    slot.stamp = p;
+                    if slot.count == 0 {
+                        self.targets.push(t);
+                    }
+                    slot.count += 1;
+                }
+            }
+        }
+        self.targets.sort_unstable();
+        self.row.clear();
+        for &t in &self.targets {
+            let slot = std::mem::replace(&mut self.slots[t as usize], Self::CLEAN);
+            self.row.push((t, slot.count));
+        }
+        &self.row
+    }
+}
+
+/// The row epilogue shared by [`extract`] and
+/// [`crate::delta::SourceGraphMaintainer`]: turns the raw consensus row of
+/// source `s` (ascending targets, exact counts) into its structural targets
+/// (self excluded) and its transition row — [`EdgeWeighting`], the §3.3
+/// self-edge (weight 0 when the page graph implies none), the
+/// [`DanglingPolicy`] and normalization — appended to the given buffers.
+///
+/// The row is summed and divided in ascending-target order, so the same raw
+/// row always yields the same bits.
+pub(crate) fn finish_row(
+    s: NodeId,
+    raw: &[(NodeId, u32)],
+    config: SourceGraphConfig,
+    structural: &mut Vec<NodeId>,
+    targets: &mut Vec<NodeId>,
+    weights: &mut Vec<f64>,
+) {
+    structural.extend(raw.iter().map(|&(d, _)| d).filter(|&d| d != s));
+
+    let weight = |count: u32| match config.weighting {
+        EdgeWeighting::Uniform => 1.0,
+        EdgeWeighting::Consensus => f64::from(count),
+    };
+    let start = weights.len();
+    let split = raw.partition_point(|&(d, _)| d < s);
+    let self_idx = start + split;
+    for &(d, c) in &raw[..split] {
+        targets.push(d);
+        weights.push(weight(c));
+    }
+    if raw.get(split).map(|&(d, _)| d) != Some(s) {
+        targets.push(s);
+        weights.push(0.0);
+    }
+    for &(d, c) in &raw[split..] {
+        targets.push(d);
+        weights.push(weight(c));
+    }
+
+    let mut sum: f64 = weights[start..].iter().sum();
+    if sum == 0.0 && config.dangling == DanglingPolicy::SelfLoop {
+        weights[self_idx] = 1.0;
+        sum = 1.0;
+    }
+    if sum > 0.0 {
+        for w in &mut weights[start..] {
+            *w /= sum;
+        }
+    }
 }
 
 #[cfg(test)]

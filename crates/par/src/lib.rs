@@ -471,50 +471,6 @@ where
         .collect()
 }
 
-/// Sorts `data` with per-thread chunk sorts followed by a bottom-up merge.
-/// Equivalent to `data.sort_unstable()`; parallel only above the cutover.
-pub fn par_sort_unstable<T: Ord + Send + Clone>(data: &mut [T]) {
-    let threads = num_threads();
-    if data.len() < PAR_THRESHOLD || threads == 1 {
-        data.sort_unstable();
-        return;
-    }
-    let bounds = even_bounds(data.len(), threads);
-    for_each_part(data, &bounds, |_, part| part.sort_unstable());
-    // Bottom-up merge of the sorted runs (sequential: merging is
-    // memory-bound and the runs are already cache-resident per thread).
-    let mut runs: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
-    let mut scratch: Vec<T> = Vec::with_capacity(data.len());
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        for pair in runs.chunks(2) {
-            if pair.len() == 1 {
-                next.push(pair[0].clone());
-                continue;
-            }
-            let (a, b) = (pair[0].clone(), pair[1].clone());
-            scratch.clear();
-            {
-                let (mut i, mut j) = (a.start, b.start);
-                while i < a.end && j < b.end {
-                    if data[i] <= data[j] {
-                        scratch.push(data[i].clone());
-                        i += 1;
-                    } else {
-                        scratch.push(data[j].clone());
-                        j += 1;
-                    }
-                }
-                scratch.extend_from_slice(&data[i..a.end]);
-                scratch.extend_from_slice(&data[j..b.end]);
-            }
-            data[a.start..b.end].clone_from_slice(&scratch);
-            next.push(a.start..b.end);
-        }
-        runs = next;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,17 +527,6 @@ mod tests {
         let got = map_chunks(25_000, 1000, |r| r.start);
         let expect: Vec<usize> = (0..25).map(|i| i * 1000).collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn par_sort_sorts() {
-        let mut v: Vec<u64> = (0..20_000)
-            .map(|i| (i * 2_654_435_761) % 1_000_003)
-            .collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        par_sort_unstable(&mut v);
-        assert_eq!(v, expect);
     }
 
     #[test]

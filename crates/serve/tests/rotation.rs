@@ -13,7 +13,7 @@
 //!   an internally consistent snapshot (all four vectors from one epoch).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use sr_core::convergence::IterationStats;
 use sr_core::{RankSnapshot, RankVector, SnapshotRing};
@@ -22,6 +22,8 @@ use sr_graph::GraphBuilder;
 
 const PAGES: usize = 64;
 const EPOCHS: u64 = 300;
+/// Concurrent readers in the pinned-epoch race.
+const READERS: usize = 4;
 
 fn tiny_walks(tag: &str) -> WalkStore {
     let path = std::env::temp_dir().join(format!(
@@ -81,15 +83,24 @@ fn pinned_readers_see_bit_identical_vectors_while_writer_publishes() {
     // Minimal ring: 2 slots, so the writer laps constantly.
     let ring = Arc::new(SnapshotRing::new(snap(0, &walks), 2));
     let stop = Arc::new(AtomicBool::new(false));
+    // The writer publishes only once every reader holds its first pin, so
+    // no reader can miss the whole run on an oversubscribed box.
+    let start = Arc::new(Barrier::new(READERS + 1));
 
-    let readers: Vec<_> = (0..4)
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let ring = Arc::clone(&ring);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut loads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                let mut started = false;
+                while !started || !stop.load(Ordering::Relaxed) {
                     let pinned = ring.load();
+                    if !started {
+                        start.wait();
+                        started = true;
+                    }
                     let epoch = pinned.epoch;
                     let expect = (epoch as f64 + 0.5).to_bits();
                     // Hold the pin across several fresh loads (the writer
@@ -119,6 +130,7 @@ fn pinned_readers_see_bit_identical_vectors_while_writer_publishes() {
         })
         .collect();
 
+    start.wait();
     for e in 1..=EPOCHS {
         ring.publish(snap(e, &walks));
     }

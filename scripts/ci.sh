@@ -66,6 +66,9 @@ echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run --quiet
 
 echo "==> delta differential suites (incremental path == full rebuild)"
+# extract_differential pins the per-source consensus-row kernel bitwise
+# against a test-local pair-sort reference extraction, at 1 and N threads.
+cargo test -q -p sr-graph --test extract_differential
 cargo test -q -p sr-graph --test delta_differential
 cargo test -q -p sr-core --test incremental_differential
 
