@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use sr_analysis::figures;
-use sr_core::{ConvergenceCriteria, Solver, Teleport};
+use sr_core::{ConvergenceCriteria, Solver, SolverWorkspace, Teleport};
 use sr_graph::WeightedGraph;
 
 fn bench_series(c: &mut Criterion) {
@@ -47,6 +47,9 @@ fn bench_scenario3_solve(c: &mut Criterion) {
                     &Teleport::Uniform,
                     &ConvergenceCriteria::default(),
                     Solver::Power,
+                    None,
+                    &mut SolverWorkspace::new(),
+                    None,
                 );
                 black_box(r.score(0))
             })

@@ -14,7 +14,7 @@ use sr_bench::kernel_crawl;
 use sr_core::operator::reference::NaiveUniformTransition;
 use sr_core::operator::{Transition, UniformTransition};
 use sr_core::power::reference::power_method_unfused;
-use sr_core::power::{power_method_in, PowerConfig};
+use sr_core::power::{power_method, PowerConfig};
 use sr_core::SolverWorkspace;
 
 fn bench_propagate(c: &mut Criterion) {
@@ -49,7 +49,7 @@ fn bench_power_solve(c: &mut Criterion) {
     let fused = UniformTransition::new(&crawl.pages);
     let mut ws = SolverWorkspace::new();
     group.bench_function("fused", |b| {
-        b.iter(|| black_box(power_method_in(&fused, &config, &mut ws).iterations))
+        b.iter(|| black_box(power_method(&fused, &config, &mut ws, None).iterations))
     });
     group.finish();
 }

@@ -21,8 +21,9 @@
 //! The engine's contract is stronger than "within tolerance": every column
 //! of a batched solve is **bit-identical** to a sequential
 //! [`power_method`](crate::power::power_method) run with that column's
-//! parameters — same scores, same residual history, same iteration count.
-//! Three ingredients make that hold:
+//! parameters and the default strongly-preferential dangling patch — same
+//! scores, same residual history, same iteration count. Three ingredients
+//! make that hold:
 //!
 //! * the panel gather accumulates each (row, column) pair in ascending
 //!   CSR-position order with its own accumulator ([`sr_graph::panel`]
@@ -48,11 +49,10 @@
 
 use crate::convergence::{ConvergenceCriteria, IterationStats, Norm};
 use crate::operator::BatchTransition;
-use crate::power::Formulation;
+use crate::power::{load_warm_start, Formulation};
 use crate::rankvec::RankVector;
 use crate::teleport::Teleport;
 use crate::vecops;
-use sr_obs::{ObserverFanout, SolveObserver};
 
 /// Width of one SpMM tile: batches wider than this are solved as consecutive
 /// panels. Eight f64 columns make a 64-byte panel row — one cache line per
@@ -208,42 +208,16 @@ impl BatchWorkspace {
 }
 
 /// Solves `batch` over `op`, one SpMM panel of up to [`PANEL_WIDTH`] columns
-/// at a time. Each column's result is bit-identical to a sequential
-/// [`power_method`](crate::power::power_method) with that column's
-/// parameters (see the module docs).
-///
-/// Allocates a fresh [`BatchWorkspace`]; hot loops should hold one and call
-/// [`solve_batch_in`].
+/// at a time, in caller-owned buffers. Each column's result is bit-identical
+/// to a sequential [`power_method`](crate::power::power_method) with that
+/// column's parameters (see the module docs).
 ///
 /// # Panics
 /// Panics if any column's α is outside `[0, 1)` or a warm start is invalid.
-pub fn solve_batch(op: &dyn BatchTransition, batch: &SolveBatch) -> MultiRankVector {
-    solve_batch_in(op, batch, &mut BatchWorkspace::new())
-}
-
-/// [`solve_batch`] with caller-owned buffers.
-///
-/// # Panics
-/// Panics if any column's α is outside `[0, 1)` or a warm start is invalid.
-pub fn solve_batch_in(
+pub fn solve_batch(
     op: &dyn BatchTransition,
     batch: &SolveBatch,
     ws: &mut BatchWorkspace,
-) -> MultiRankVector {
-    solve_batch_observed(op, batch, ws, None)
-}
-
-/// [`solve_batch_in`] with per-column telemetry: `observers` holds one
-/// optional [`SolveObserver`] slot per batch column (indexed across tiles),
-/// and each column's callbacks fire exactly as its sequential solve's would.
-///
-/// # Panics
-/// Panics if any column's α is outside `[0, 1)` or a warm start is invalid.
-pub fn solve_batch_observed(
-    op: &dyn BatchTransition,
-    batch: &SolveBatch,
-    ws: &mut BatchWorkspace,
-    mut observers: Option<&mut ObserverFanout<'_>>,
 ) -> MultiRankVector {
     for col in &batch.columns {
         assert!(
@@ -254,7 +228,7 @@ pub fn solve_batch_observed(
     }
     let n = op.num_nodes();
     let mut columns = Vec::with_capacity(batch.columns.len());
-    for (tile_index, tile) in batch.columns.chunks(PANEL_WIDTH).enumerate() {
+    for tile in batch.columns.chunks(PANEL_WIDTH) {
         solve_tile(
             op,
             n,
@@ -262,8 +236,6 @@ pub fn solve_batch_observed(
             &batch.criteria,
             batch.formulation,
             ws,
-            tile_index * PANEL_WIDTH,
-            observers.as_deref_mut(),
             &mut columns,
         );
     }
@@ -278,7 +250,6 @@ struct ColumnState {
 
 /// Solves one panel of up to [`PANEL_WIDTH`] columns, pushing the finished
 /// [`RankVector`]s onto `out` in column order.
-#[allow(clippy::too_many_arguments)]
 fn solve_tile(
     op: &dyn BatchTransition,
     n: usize,
@@ -286,31 +257,11 @@ fn solve_tile(
     criteria: &ConvergenceCriteria,
     formulation: Formulation,
     ws: &mut BatchWorkspace,
-    col_base: usize,
-    mut observers: Option<&mut ObserverFanout<'_>>,
     out: &mut Vec<RankVector>,
 ) {
     let width = cols.len();
-    let solver_name = match formulation {
-        Formulation::Eigenvector => "power",
-        Formulation::LinearSystem => "jacobi",
-    };
-    for j in 0..width {
-        if let Some(o) = observers
-            .as_deref_mut()
-            .and_then(|f| f.column(col_base + j))
-        {
-            o.on_solve_start(solver_name, n);
-        }
-    }
     if n == 0 {
-        for j in 0..width {
-            if let Some(o) = observers
-                .as_deref_mut()
-                .and_then(|f| f.column(col_base + j))
-            {
-                o.on_solve_end(0, 0.0, true);
-            }
+        for _ in 0..width {
             out.push(RankVector::new(
                 Vec::new(),
                 IterationStats {
@@ -331,15 +282,9 @@ fn solve_tile(
     for (j, col) in cols.iter().enumerate() {
         col.teleport.write_dense(&mut ws.stage);
         scatter_column(&mut ws.c, width, j, &ws.stage);
+        // `stage` still holds the teleport, the start of a cold column.
         if let Some(x0) = &col.initial {
-            assert_eq!(x0.len(), n, "warm-start vector length mismatch");
-            assert!(
-                x0.iter().all(|v| v.is_finite() && *v >= 0.0),
-                "warm-start vector must be finite and non-negative"
-            );
-            ws.stage.copy_from_slice(x0);
-            vecops::normalize_l1(&mut ws.stage);
-            if vecops::l1_norm(&ws.stage) == 0.0 {
+            if !load_warm_start(&mut ws.stage, x0) {
                 col.teleport.write_dense(&mut ws.stage);
             }
         }
@@ -387,12 +332,6 @@ fn solve_tile(
             let state = &mut states[j];
             state.residual = residual;
             state.residual_history.push(residual);
-            if let Some(o) = observers
-                .as_deref_mut()
-                .and_then(|f| f.column(col_base + j))
-            {
-                o.on_iteration(state.residual_history.len(), residual, ws.dangling[p]);
-            }
         }
         std::mem::swap(&mut ws.x, &mut ws.y);
         // Retire converged columns: extract now, while `x` holds the iterate
@@ -405,17 +344,7 @@ fn solve_tile(
             let mut keep = Vec::with_capacity(w);
             for (p, &j) in live.iter().enumerate() {
                 if states[j].residual < criteria.tolerance {
-                    let r = retire_column(
-                        &ws.x[..n * w],
-                        w,
-                        p,
-                        &mut states[j],
-                        true,
-                        observers
-                            .as_deref_mut()
-                            .and_then(|f| f.column(col_base + j)),
-                    );
-                    results[j] = Some(r);
+                    results[j] = Some(retire_column(&ws.x[..n * w], w, p, &mut states[j], true));
                 } else {
                     keep.push(p);
                 }
@@ -429,17 +358,7 @@ fn solve_tile(
     // Iteration cap: whatever is still live retires unconverged.
     let w = live.len();
     for (p, &j) in live.iter().enumerate() {
-        let r = retire_column(
-            &ws.x[..n * w],
-            w,
-            p,
-            &mut states[j],
-            false,
-            observers
-                .as_deref_mut()
-                .and_then(|f| f.column(col_base + j)),
-        );
-        results[j] = Some(r);
+        results[j] = Some(retire_column(&ws.x[..n * w], w, p, &mut states[j], false));
     }
     for r in results {
         out.push(r.expect("every tile column retires exactly once"));
@@ -469,21 +388,17 @@ fn compact_panel(panel: &mut [f64], width: usize, keep: &[usize]) {
 
 /// Extracts column `j` from the panel, L1-normalizes it as a contiguous
 /// vector (same association as the single-vector path) and closes out its
-/// stats and observer.
+/// stats.
 fn retire_column(
     x_panel: &[f64],
     width: usize,
     j: usize,
     state: &mut ColumnState,
     converged: bool,
-    observer: Option<&mut (dyn SolveObserver + '_)>,
 ) -> RankVector {
     let mut scores: Vec<f64> = x_panel[j..].iter().step_by(width).copied().collect();
     vecops::normalize_l1(&mut scores);
     let residual_history = std::mem::take(&mut state.residual_history);
-    if let Some(o) = observer {
-        o.on_solve_end(residual_history.len(), state.residual, converged);
-    }
     RankVector::new(
         scores,
         IterationStats {
@@ -627,7 +542,8 @@ fn fused_update_residual_panel_impl<const K: usize>(
 mod tests {
     use super::*;
     use crate::operator::{UniformTransition, WeightedTransition};
-    use crate::power::{power_method, PowerConfig};
+    use crate::power::tests::run;
+    use crate::power::PowerConfig;
     use sr_graph::{GraphBuilder, WeightedGraph};
 
     fn ring_with_chords(n: usize) -> sr_graph::CsrGraph {
@@ -647,7 +563,7 @@ mod tests {
         op: &dyn crate::operator::Transition,
         col: &SolveColumn,
     ) -> (Vec<f64>, IterationStats) {
-        power_method(
+        run(
             op,
             &PowerConfig {
                 alpha: col.alpha,
@@ -660,6 +576,10 @@ mod tests {
         )
     }
 
+    fn batched(op: &dyn BatchTransition, batch: &SolveBatch) -> MultiRankVector {
+        solve_batch(op, batch, &mut BatchWorkspace::new())
+    }
+
     #[test]
     fn batched_columns_are_bitwise_sequential() {
         let g = ring_with_chords(200);
@@ -670,7 +590,7 @@ mod tests {
             SolveColumn::new(0.92, Teleport::Uniform),
         ];
         let batch = SolveBatch::new(columns.clone());
-        let got = solve_batch(&op, &batch);
+        let got = batched(&op, &batch);
         assert_eq!(got.num_columns(), 3);
         for (j, col) in columns.iter().enumerate() {
             let (want, want_stats) = sequential(&op, col);
@@ -691,7 +611,7 @@ mod tests {
         let columns: Vec<SolveColumn> = (0..PANEL_WIDTH * 2 + 3)
             .map(|j| SolveColumn::new(0.5 + 0.02 * j as f64, Teleport::Uniform))
             .collect();
-        let got = solve_batch(&op, &SolveBatch::new(columns.clone()));
+        let got = batched(&op, &SolveBatch::new(columns.clone()));
         assert_eq!(got.num_columns(), columns.len());
         for (j, col) in columns.iter().enumerate() {
             let (want, want_stats) = sequential(&op, col);
@@ -712,7 +632,7 @@ mod tests {
             SolveColumn::new(0.85, Teleport::Uniform),
             SolveColumn::new(0.7, Teleport::over_seeds(4, &[2])),
         ];
-        let got = solve_batch(&op, &SolveBatch::new(columns.clone()));
+        let got = batched(&op, &SolveBatch::new(columns.clone()));
         for (j, col) in columns.iter().enumerate() {
             let (want, want_stats) = sequential(&op, col);
             assert_eq!(got.column(j).scores(), &want[..], "column {j}");
@@ -729,7 +649,7 @@ mod tests {
             SolveColumn::new(0.85, Teleport::Uniform).with_initial(cold.clone()),
             SolveColumn::new(0.6, Teleport::Uniform),
         ];
-        let got = solve_batch(&op, &SolveBatch::new(columns.clone()));
+        let got = batched(&op, &SolveBatch::new(columns.clone()));
         let (want, want_stats) = sequential(&op, &columns[0]);
         assert_eq!(got.column(0).scores(), &want[..]);
         assert_eq!(got.column(0).stats().iterations, want_stats.iterations);
@@ -748,11 +668,11 @@ mod tests {
             max_iterations: 3,
             ..Default::default()
         });
-        let got = solve_batch(&op, &batch);
+        let got = batched(&op, &batch);
         assert!(!got.column(0).stats().converged);
         assert_eq!(got.column(0).stats().iterations, 3);
         for (j, col) in batch.columns.iter().enumerate() {
-            let (want, _) = power_method(
+            let (want, _) = run(
                 &op,
                 &PowerConfig {
                     alpha: col.alpha,
@@ -771,12 +691,12 @@ mod tests {
     fn empty_batch_and_empty_graph_are_fine() {
         let g = ring_with_chords(10);
         let op = UniformTransition::new(&g);
-        let got = solve_batch(&op, &SolveBatch::new(Vec::new()));
+        let got = batched(&op, &SolveBatch::new(Vec::new()));
         assert!(got.is_empty());
 
         let empty = sr_graph::CsrGraph::empty(0);
         let op = UniformTransition::new(&empty);
-        let got = solve_batch(
+        let got = batched(
             &op,
             &SolveBatch::new(vec![SolveColumn::new(0.85, Teleport::Uniform)]),
         );
@@ -794,9 +714,9 @@ mod tests {
             SolveColumn::new(0.4, Teleport::over_seeds(40, &[7])),
         ];
         let batch = SolveBatch::new(columns.clone()).formulation(Formulation::LinearSystem);
-        let got = solve_batch(&op, &batch);
+        let got = batched(&op, &batch);
         for (j, col) in columns.iter().enumerate() {
-            let (want, want_stats) = power_method(
+            let (want, want_stats) = run(
                 &op,
                 &PowerConfig {
                     alpha: col.alpha,
@@ -813,59 +733,11 @@ mod tests {
     }
 
     #[test]
-    fn observer_fanout_sees_each_column_like_a_sequential_solve() {
-        use sr_obs::RecordingObserver;
-        let g = ring_with_chords(30);
-        let op = UniformTransition::new(&g);
-        let columns = vec![
-            SolveColumn::new(0.85, Teleport::Uniform),
-            SolveColumn::new(0.3, Teleport::Uniform),
-        ];
-        let mut rec0 = RecordingObserver::new();
-        let mut rec1 = RecordingObserver::new();
-        {
-            let mut fan = ObserverFanout::new(2);
-            fan.set(0, &mut rec0);
-            fan.set(1, &mut rec1);
-            let mut ws = BatchWorkspace::new();
-            solve_batch_observed(
-                &op,
-                &SolveBatch::new(columns.clone()),
-                &mut ws,
-                Some(&mut fan),
-            );
-        }
-        for (col, rec) in columns.iter().zip([rec0, rec1]) {
-            let mut seq = RecordingObserver::new();
-            let mut ws = crate::power::SolverWorkspace::new();
-            crate::power::power_method_observed(
-                &op,
-                &PowerConfig {
-                    alpha: col.alpha,
-                    teleport: col.teleport.clone(),
-                    criteria: ConvergenceCriteria::default(),
-                    formulation: Formulation::default(),
-                    dangling: Default::default(),
-                    initial: None,
-                },
-                &mut ws,
-                Some(&mut seq),
-            );
-            let got = rec.into_record("batched");
-            let want = seq.into_record("batched");
-            assert_eq!(got.telemetry.solver, want.telemetry.solver);
-            assert_eq!(got.telemetry.residuals, want.telemetry.residuals);
-            assert_eq!(got.telemetry.iterations, want.telemetry.iterations);
-            assert_eq!(got.telemetry.converged, want.telemetry.converged);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "alpha")]
     fn bad_alpha_rejected() {
         let g = ring_with_chords(5);
         let op = UniformTransition::new(&g);
-        solve_batch(
+        batched(
             &op,
             &SolveBatch::new(vec![SolveColumn::new(1.0, Teleport::Uniform)]),
         );

@@ -26,20 +26,11 @@ use sr_obs::SolveObserver;
 ///
 /// Dangling (all-zero) rows leak mass exactly as the linear-system power
 /// formulation does; the final normalization absorbs the difference.
+///
+/// With an `observer`, per-sweep residuals are reported (solver label
+/// `"gauss_seidel"`; the dangling-mass slot of `on_iteration` is always 0 —
+/// the sweep has no explicit dangling pass). `None` changes no bit.
 pub fn gauss_seidel(
-    transitions: &WeightedGraph,
-    alpha: f64,
-    teleport: &Teleport,
-    criteria: &ConvergenceCriteria,
-) -> (Vec<f64>, IterationStats) {
-    gauss_seidel_observed(transitions, alpha, teleport, criteria, None)
-}
-
-/// [`gauss_seidel`] with telemetry: per-sweep residuals are reported to
-/// `observer` (solver label `"gauss_seidel"`; the dangling-mass slot of
-/// `on_iteration` is always 0 — the sweep has no explicit dangling pass).
-/// Passing `None` is exactly [`gauss_seidel`].
-pub fn gauss_seidel_observed(
     transitions: &WeightedGraph,
     alpha: f64,
     teleport: &Teleport,
@@ -123,7 +114,8 @@ pub fn gauss_seidel_observed(
 mod tests {
     use super::*;
     use crate::operator::WeightedTransition;
-    use crate::power::{power_method, Formulation, PowerConfig};
+    use crate::power::tests::run;
+    use crate::power::{Formulation, PowerConfig};
 
     fn two_state() -> WeightedGraph {
         WeightedGraph::from_parts(vec![0, 2, 3], vec![0, 1, 0], vec![0.5, 0.5, 1.0])
@@ -137,9 +129,9 @@ mod tests {
             0.85,
             &Teleport::Uniform,
             &ConvergenceCriteria::default(),
+            None,
         );
-        let op = WeightedTransition::new(&g);
-        let (pm, _) = power_method(&op, &PowerConfig::default());
+        let (pm, _) = run(&WeightedTransition::new(&g), &PowerConfig::default());
         for (a, b) in gs.iter().zip(&pm) {
             assert!((a - b).abs() < 1e-8, "{gs:?} vs {pm:?}");
         }
@@ -163,13 +155,12 @@ mod tests {
             ],
         );
         let crit = ConvergenceCriteria::default();
-        let (_, gs_stats) = gauss_seidel(&g, 0.85, &Teleport::Uniform, &crit);
-        let op = WeightedTransition::new(&g);
+        let (_, gs_stats) = gauss_seidel(&g, 0.85, &Teleport::Uniform, &crit, None);
         let cfg = PowerConfig {
             formulation: Formulation::LinearSystem,
             ..Default::default()
         };
-        let (_, pm_stats) = power_method(&op, &cfg);
+        let (_, pm_stats) = run(&WeightedTransition::new(&g), &cfg);
         assert!(
             gs_stats.iterations < pm_stats.iterations,
             "GS {} vs PM {}",
@@ -187,6 +178,7 @@ mod tests {
             0.85,
             &Teleport::Uniform,
             &ConvergenceCriteria::default(),
+            None,
         );
         assert!(stats.converged);
         assert!(x[0] > x[1], "the absorbing-ish node should accumulate mass");
@@ -201,6 +193,7 @@ mod tests {
             0.85,
             &Teleport::Uniform,
             &ConvergenceCriteria::default(),
+            None,
         );
         assert!(stats.converged);
         assert!(x[1] > x[0]);
@@ -214,12 +207,14 @@ mod tests {
             0.85,
             &Teleport::over_seeds(2, &[1]),
             &ConvergenceCriteria::default(),
+            None,
         );
         let (u, _) = gauss_seidel(
             &g,
             0.85,
             &Teleport::Uniform,
             &ConvergenceCriteria::default(),
+            None,
         );
         assert!(x[1] > u[1]);
     }

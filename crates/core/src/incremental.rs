@@ -145,7 +145,7 @@ pub struct IncrementalConfig {
     pub criteria: ConvergenceCriteria,
     /// Iterative solver for the source-level rankings. Note that
     /// [`Solver::GaussSeidel`] has no warm path and re-solves cold each
-    /// delta (see [`crate::solver::solve_weighted_warm_observed`]).
+    /// delta (see [`crate::solver::solve_weighted`]).
     pub solver: Solver,
     /// Source-graph extraction configuration.
     pub source_config: SourceGraphConfig,

@@ -65,8 +65,7 @@ pub mod vecops;
 
 pub use approx::{ApproxError, ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
 pub use batch::{
-    solve_batch, solve_batch_in, solve_batch_observed, BatchWorkspace, MultiRankVector, SolveBatch,
-    SolveColumn, PANEL_WIDTH,
+    solve_batch, BatchWorkspace, MultiRankVector, SolveBatch, SolveColumn, PANEL_WIDTH,
 };
 pub use coalesce::{pack_panels, panel_columns, PanelQuery};
 pub use convergence::{ConvergenceCriteria, IterationStats, Norm};

@@ -112,17 +112,11 @@ fn sample_teleport<R: Rng>(rng: &mut R, teleport: &Teleport, n: usize) -> u32 {
 /// solver's dangling handling), so the estimate is comparable to
 /// [`crate::power::power_method`] output with the default formulation.
 ///
-/// Returns L1-normalized visit frequencies.
-pub fn estimate_stationary(transitions: &WeightedGraph, config: &WalkConfig) -> Vec<f64> {
-    estimate_stationary_observed(transitions, config, None)
-}
-
-/// [`estimate_stationary`] with telemetry: reports one `on_walker` callback
-/// per completed walker (in walker order, after the parallel phase — the
-/// observer is exclusive, so workers can't call it directly) under the
-/// solver label `"montecarlo"`. Passing `None` is exactly
-/// [`estimate_stationary`].
-pub fn estimate_stationary_observed(
+/// Returns L1-normalized visit frequencies. With an `observer`, one
+/// `on_walker` callback fires per completed walker (in walker order, after
+/// the parallel phase — the observer is exclusive, so workers can't call it
+/// directly) under the solver label `"montecarlo"`; `None` changes no bit.
+pub fn estimate_stationary(
     transitions: &WeightedGraph,
     config: &WalkConfig,
     mut observer: Option<&mut (dyn SolveObserver + '_)>,
@@ -218,7 +212,8 @@ pub fn estimate_stationary_observed(
 mod tests {
     use super::*;
     use crate::operator::WeightedTransition;
-    use crate::power::{power_method, PowerConfig};
+    use crate::power::tests::run;
+    use crate::power::PowerConfig;
     use crate::throttle::{self, ThrottleVector};
     use crate::vecops;
 
@@ -236,16 +231,15 @@ mod tests {
         )
     }
 
-    fn solver_answer(t: &WeightedGraph) -> Vec<f64> {
-        let op = WeightedTransition::new(t);
-        power_method(&op, &PowerConfig::default()).0
+    fn solver_answer(t: &WeightedGraph, config: &PowerConfig) -> Vec<f64> {
+        run(&WeightedTransition::new(t), config).0
     }
 
     #[test]
     fn walk_matches_solver_on_small_chain() {
         let t = chain();
-        let exact = solver_answer(&t);
-        let est = estimate_stationary(&t, &WalkConfig::default());
+        let exact = solver_answer(&t, &PowerConfig::default());
+        let est = estimate_stationary(&t, &WalkConfig::default(), None);
         let l1 = vecops::l1_distance(&exact, &est);
         assert!(l1 < 0.02, "MC estimate off by {l1}: {est:?} vs {exact:?}");
     }
@@ -257,8 +251,8 @@ mod tests {
         let t = chain();
         let kappa = ThrottleVector::from_vec(vec![0.9, 0.0, 0.5, 0.0]);
         let throttled = throttle::apply(&t, &kappa);
-        let exact = solver_answer(&throttled);
-        let est = estimate_stationary(&throttled, &WalkConfig::default());
+        let exact = solver_answer(&throttled, &PowerConfig::default());
+        let est = estimate_stationary(&throttled, &WalkConfig::default(), None);
         assert!(
             vecops::l1_distance(&exact, &est) < 0.02,
             "throttled walk diverges: {est:?} vs {exact:?}"
@@ -271,8 +265,8 @@ mod tests {
         let t = chain();
         let kappa = ThrottleVector::uniform(4, 0.5);
         let sub = throttle::apply_with_policy(&t, &kappa, throttle::SelfEdgePolicy::Surrender);
-        let exact = solver_answer(&sub);
-        let est = estimate_stationary(&sub, &WalkConfig::default());
+        let exact = solver_answer(&sub, &PowerConfig::default());
+        let est = estimate_stationary(&sub, &WalkConfig::default(), None);
         assert!(
             vecops::l1_distance(&exact, &est) < 0.02,
             "substochastic walk diverges: {est:?} vs {exact:?}"
@@ -282,15 +276,15 @@ mod tests {
     #[test]
     fn estimate_is_deterministic() {
         let t = chain();
-        let a = estimate_stationary(&t, &WalkConfig::default());
-        let b = estimate_stationary(&t, &WalkConfig::default());
+        let a = estimate_stationary(&t, &WalkConfig::default(), None);
+        let b = estimate_stationary(&t, &WalkConfig::default(), None);
         assert_eq!(a, b);
     }
 
     #[test]
     fn more_steps_reduce_error() {
         let t = chain();
-        let exact = solver_answer(&t);
+        let exact = solver_answer(&t, &PowerConfig::default());
         let short = WalkConfig {
             walkers: 8,
             steps: 500,
@@ -301,20 +295,20 @@ mod tests {
             steps: 50_000,
             ..Default::default()
         };
-        let e_short = vecops::l1_distance(&exact, &estimate_stationary(&t, &short));
-        let e_long = vecops::l1_distance(&exact, &estimate_stationary(&t, &long));
+        let e_short = vecops::l1_distance(&exact, &estimate_stationary(&t, &short, None));
+        let e_long = vecops::l1_distance(&exact, &estimate_stationary(&t, &long, None));
         assert!(e_long < e_short, "long {e_long} vs short {e_short}");
     }
 
     #[test]
     fn geometric_episodes_match_solver() {
         let t = chain();
-        let exact = solver_answer(&t);
+        let exact = solver_answer(&t, &PowerConfig::default());
         let cfg = WalkConfig {
             length: WalkLength::GeometricEpisodes,
             ..Default::default()
         };
-        let est = estimate_stationary(&t, &cfg);
+        let est = estimate_stationary(&t, &cfg, None);
         let l1 = vecops::l1_distance(&exact, &est);
         assert!(
             l1 < 0.02,
@@ -329,12 +323,12 @@ mod tests {
         let t = chain();
         let kappa = ThrottleVector::uniform(4, 0.5);
         let sub = throttle::apply_with_policy(&t, &kappa, throttle::SelfEdgePolicy::Surrender);
-        let exact = solver_answer(&sub);
+        let exact = solver_answer(&sub, &PowerConfig::default());
         let cfg = WalkConfig {
             length: WalkLength::GeometricEpisodes,
             ..Default::default()
         };
-        let est = estimate_stationary(&sub, &cfg);
+        let est = estimate_stationary(&sub, &cfg, None);
         assert!(
             vecops::l1_distance(&exact, &est) < 0.02,
             "substochastic episode walk diverges: {est:?} vs {exact:?}"
@@ -355,7 +349,7 @@ mod tests {
             burn_in: 20,
             ..Default::default()
         };
-        let est = estimate_stationary(&t, &cfg);
+        let est = estimate_stationary(&t, &cfg, None);
         let bits: Vec<u64> = est.iter().map(|x| x.to_bits()).collect();
         assert_eq!(bits, SNAPSHOT_BITS, "legacy estimator drifted: {est:?}");
     }
@@ -376,16 +370,14 @@ mod tests {
             teleport: Teleport::over_seeds(4, &[3]),
             ..Default::default()
         };
-        let op = WeightedTransition::new(&t);
-        let exact = power_method(
-            &op,
+        let exact = solver_answer(
+            &t,
             &PowerConfig {
                 teleport: Teleport::over_seeds(4, &[3]),
                 ..Default::default()
             },
-        )
-        .0;
-        let est = estimate_stationary(&t, &cfg);
+        );
+        let est = estimate_stationary(&t, &cfg, None);
         assert!(vecops::l1_distance(&exact, &est) < 0.02);
     }
 }

@@ -4,20 +4,17 @@
 use std::path::Path;
 
 use crate::approx::{ApproxError, ApproxPpr, WalkCacheBuilder, WalkCacheConfig};
-use crate::batch::{
-    solve_batch_observed, BatchWorkspace, MultiRankVector, SolveBatch, SolveColumn,
-};
+use crate::batch::{solve_batch, BatchWorkspace, MultiRankVector, SolveBatch, SolveColumn};
 use crate::convergence::ConvergenceCriteria;
 use crate::operator::{Transition, UniformTransition};
 use crate::power::{
-    power_method_observed, DanglingPolicy, Formulation, PowerConfig, SolverWorkspace,
+    pad_warm_start, power_method, DanglingPolicy, Formulation, PowerConfig, SolverWorkspace,
 };
 use crate::rankvec::RankVector;
-use crate::streamed::StreamedTransition;
 use crate::teleport::Teleport;
 use sr_graph::walks::WalkStore;
-use sr_graph::{CsrGraph, ShardedCompressedGraph};
-use sr_obs::{ObserverFanout, SolveObserver};
+use sr_graph::CsrGraph;
+use sr_obs::SolveObserver;
 
 /// PageRank configuration; construct via [`PageRank::builder`].
 ///
@@ -54,63 +51,23 @@ impl PageRank {
         )
     }
 
-    /// [`rank`](PageRank::rank) with telemetry: the solve reports its
-    /// per-iteration residuals and dangling mass to `observer` (see
-    /// `sr-obs`). Identical scores and stats to [`rank`](PageRank::rank).
-    pub fn rank_observed(&self, graph: &CsrGraph, observer: &mut dyn SolveObserver) -> RankVector {
-        self.rank_operator_warm_in(
-            &UniformTransition::new(graph),
-            None,
-            &mut SolverWorkspace::new(),
-            Some(observer),
-        )
-    }
-
-    /// Computes the PageRank vector of an on-disk sharded graph without ever
-    /// materializing its CSR: the solve streams varint-coded shards through
-    /// the out-of-core operator (see [`crate::streamed`]), touching only the
-    /// rank vectors plus a few KB of per-worker decode scratch. Scores and
-    /// iteration counts are **bit-identical** to [`rank`](PageRank::rank) on
-    /// the equivalent in-RAM graph.
-    pub fn rank_sharded(&self, graph: &ShardedCompressedGraph) -> RankVector {
-        self.rank_operator_warm_in(
-            &StreamedTransition::from_sharded(graph),
-            None,
-            &mut SolverWorkspace::new(),
-            None,
-        )
-    }
-
-    /// Computes PageRank warm-started from a previous score vector —
-    /// typically the pre-attack ranking, which after a localized graph
-    /// mutation converges in a fraction of the cold-start iterations.
-    /// `initial` may cover fewer nodes than the graph (pages added since);
-    /// missing entries start at the teleport mass.
-    pub fn rank_warm(&self, graph: &CsrGraph, initial: &[f64]) -> RankVector {
-        self.rank_warm_in(graph, initial, &mut SolverWorkspace::new())
-    }
-
-    /// [`rank_warm`](PageRank::rank_warm) with caller-owned solver buffers —
-    /// the shape the attack experiments use: one workspace outlives a loop of
-    /// incremental re-rankings, so each solve reuses the iterate, scratch and
-    /// teleport buffers instead of reallocating them.
-    pub fn rank_warm_in(
-        &self,
-        graph: &CsrGraph,
-        initial: &[f64],
-        ws: &mut SolverWorkspace,
-    ) -> RankVector {
-        self.rank_operator_warm_in(&UniformTransition::new(graph), Some(initial), ws, None)
-    }
-
-    /// The most general entry point: ranks over an arbitrary
-    /// [`Transition`] operator with an optional warm start and telemetry —
-    /// how the incremental engine ranks a delta overlay's operator without
-    /// materializing a CSR graph first.
+    /// The general entry point: ranks over an arbitrary [`Transition`]
+    /// operator with an optional warm start, caller-owned buffers and
+    /// telemetry. The operator decides where the graph lives: a
+    /// [`UniformTransition`] over a CSR graph (what [`rank`](PageRank::rank)
+    /// uses), a [`StreamedTransition`](crate::StreamedTransition) over an
+    /// on-disk sharded graph (bit-identical scores and iteration counts to
+    /// the in-RAM graph), or a delta overlay's operator in the incremental
+    /// engine.
     ///
-    /// `initial`, when present, may cover fewer nodes than the operator
-    /// (pages added since it was computed); missing entries start at their
-    /// teleport mass, exactly as in [`rank_warm_in`](PageRank::rank_warm_in).
+    /// `initial`, when present — typically the ranking before a localized
+    /// graph mutation, which converges in a fraction of the cold-start
+    /// iterations — may cover fewer nodes than the operator (pages added
+    /// since it was computed); missing entries start at their teleport mass.
+    /// Holding one `ws` across a loop of re-rankings reuses the iterate,
+    /// scratch and teleport buffers instead of reallocating them. With an
+    /// `observer`, the solve reports its per-iteration residuals and
+    /// dangling mass (see `sr-obs`); `None` changes no bit.
     pub fn rank_operator_warm_in(
         &self,
         op: &dyn Transition,
@@ -119,27 +76,15 @@ impl PageRank {
         observer: Option<&mut (dyn SolveObserver + '_)>,
     ) -> RankVector {
         let n = op.num_nodes();
-        let x0 = initial.map(|init| {
-            assert!(
-                init.len() <= n,
-                "warm-start vector covers more nodes than the graph"
-            );
-            let mut x0 = Vec::with_capacity(n);
-            x0.extend_from_slice(init);
-            for i in init.len()..n {
-                x0.push(self.teleport.mass(i, n));
-            }
-            x0
-        });
         let config = PowerConfig {
             alpha: self.alpha,
             teleport: self.teleport.clone(),
             criteria: self.criteria,
             formulation: self.formulation,
             dangling: self.dangling,
-            initial: x0,
+            initial: initial.map(|init| pad_warm_start(init, &self.teleport, n)),
         };
-        let stats = power_method_observed(op, &config, ws, observer);
+        let stats = power_method(op, &config, ws, observer);
         RankVector::new(ws.take_solution(), stats)
     }
 
@@ -150,24 +95,23 @@ impl PageRank {
     /// iteration for all columns, and each result is bit-identical to the
     /// corresponding sequential [`rank`](PageRank::rank) solve — the engine
     /// behind damping sweeps and personalization panels.
+    ///
+    /// # Panics
+    /// Panics if this configuration's dangling policy is not the default
+    /// [`DanglingPolicy::StronglyPreferential`]: the panel sweep patches
+    /// dangling rows with each column's teleport only.
     pub fn rank_batch(&self, graph: &CsrGraph, columns: Vec<SolveColumn>) -> MultiRankVector {
-        self.rank_batch_observed(graph, columns, None)
-    }
-
-    /// [`rank_batch`](PageRank::rank_batch) with per-column telemetry: slot
-    /// `k` of `observers` (see [`sr_obs::ObserverFanout`]) sees column `k`'s
-    /// solve exactly as a sequential observed solve would.
-    pub fn rank_batch_observed(
-        &self,
-        graph: &CsrGraph,
-        columns: Vec<SolveColumn>,
-        observers: Option<&mut ObserverFanout<'_>>,
-    ) -> MultiRankVector {
+        assert!(
+            self.dangling == DanglingPolicy::StronglyPreferential,
+            "the batched solve has only the strongly-preferential dangling patch; \
+             rank {:?} columns one by one",
+            self.dangling
+        );
         let op = UniformTransition::new(graph);
         let batch = SolveBatch::new(columns)
             .criteria(self.criteria)
             .formulation(self.formulation);
-        solve_batch_observed(&op, &batch, &mut BatchWorkspace::new(), observers)
+        solve_batch(&op, &batch, &mut BatchWorkspace::new())
     }
 
     /// A [`SolveColumn`] carrying this configuration's damping and teleport —
@@ -296,6 +240,16 @@ mod tests {
     use super::*;
     use sr_graph::GraphBuilder;
 
+    /// Warm restart of `pr` over `graph` from `initial`, in `ws`.
+    fn rank_warm(
+        pr: &PageRank,
+        graph: &CsrGraph,
+        initial: &[f64],
+        ws: &mut SolverWorkspace,
+    ) -> RankVector {
+        pr.rank_operator_warm_in(&UniformTransition::new(graph), Some(initial), ws, None)
+    }
+
     #[test]
     fn hub_and_authority_ordering() {
         // 0,1,2 all point to 3; 3 points back to 0.
@@ -357,7 +311,7 @@ mod tests {
         edges.push((5, 0));
         let g2 = GraphBuilder::from_edges_exact(6, edges).unwrap();
         let cold2 = pr.rank(&g2);
-        let warm2 = pr.rank_warm(&g2, cold.scores());
+        let warm2 = rank_warm(&pr, &g2, cold.scores(), &mut SolverWorkspace::new());
         for (a, b) in cold2.scores().iter().zip(warm2.scores()) {
             assert!((a - b).abs() < 1e-8);
         }
@@ -381,7 +335,7 @@ mod tests {
         let pruned: Vec<_> = edges.into_iter().filter(|&e| e != (2, 3)).collect();
         let g2 = GraphBuilder::from_edges_exact(4, pruned).unwrap();
         let cold2 = pr.rank(&g2);
-        let warm2 = pr.rank_warm(&g2, cold.scores());
+        let warm2 = rank_warm(&pr, &g2, cold.scores(), &mut SolverWorkspace::new());
         for (a, b) in cold2.scores().iter().zip(warm2.scores()) {
             assert!((a - b).abs() < 1e-8);
         }
@@ -401,28 +355,13 @@ mod tests {
         let g2 = GraphBuilder::from_edges_exact(7, edges).unwrap();
         let cold2 = pr.rank(&g2);
         let mut ws = SolverWorkspace::new();
-        let warm2 = pr.rank_warm_in(&g2, cold.scores(), &mut ws);
+        let warm2 = rank_warm(&pr, &g2, cold.scores(), &mut ws);
         assert_eq!(warm2.scores().len(), 7);
         for (a, b) in cold2.scores().iter().zip(warm2.scores()) {
             assert!((a - b).abs() < 1e-8);
         }
         assert!(warm2.stats().converged);
         assert!(warm2.stats().iterations <= cold2.stats().iterations);
-    }
-
-    #[test]
-    fn rank_warm_in_matches_rank_warm() {
-        use crate::power::SolverWorkspace;
-        let g = GraphBuilder::from_edges_exact(5, vec![(0, 1), (1, 2), (2, 0), (3, 0)]).unwrap();
-        let pr = PageRank::default();
-        let cold = pr.rank(&g);
-        let mut ws = SolverWorkspace::new();
-        for _ in 0..3 {
-            let a = pr.rank_warm(&g, cold.scores());
-            let b = pr.rank_warm_in(&g, cold.scores(), &mut ws);
-            assert_eq!(a.scores(), b.scores());
-            assert_eq!(a.stats().iterations, b.stats().iterations);
-        }
     }
 
     #[test]
@@ -440,6 +379,22 @@ mod tests {
             assert_eq!(batched.column(k).scores(), seq.scores());
             assert_eq!(batched.column(k).stats().iterations, seq.stats().iterations);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "strongly-preferential")]
+    fn rank_batch_rejects_a_non_default_dangling_policy() {
+        // The panel sweep patches dangling rows with each column's teleport;
+        // under a personalized teleport the weak policy would rank
+        // differently from `rank`, so the batch must refuse it.
+        let g = GraphBuilder::from_edges_exact(5, vec![(0, 1), (1, 2), (3, 0)]).unwrap();
+        PageRank::builder()
+            .dangling(DanglingPolicy::WeaklyPreferential)
+            .finish()
+            .rank_batch(
+                &g,
+                vec![SolveColumn::new(0.85, Teleport::over_seeds(5, &[0]))],
+            );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! ## The fused iteration
 //!
-//! Each iteration of [`power_method_in`] is two sweeps over the state:
+//! Each iteration of [`power_method`] is two sweeps over the state:
 //! the operator's [`propagate_with`](Transition::propagate_with) (itself
 //! fused — see [`crate::operator`]) and **one** combined
 //! damp + teleport + dangling-redistribution + residual-norm sweep over the
@@ -34,9 +34,11 @@
 //! [`sr_par::PAR_THRESHOLD`] nodes in block order, so residuals — and hence
 //! iteration counts and scores — are bit-identical across thread counts.
 //!
-//! [`power_method_observed`] threads an `sr_obs::SolveObserver` through the
-//! iteration for per-iteration residual/dangling-mass/wall-time telemetry;
-//! the observer-free entry points pass `None` and pay nothing.
+//! [`power_method`] is the one entry point: the formulation, dangling patch
+//! and warm start are [`PowerConfig`] settings, the buffers are a
+//! caller-owned [`SolverWorkspace`], and an optional `sr_obs::SolveObserver`
+//! receives per-iteration residual/dangling-mass telemetry (`None` pays
+//! nothing).
 //!
 //! The iteration is operator-agnostic: anything implementing
 //! [`Transition`] plugs in unchanged, including the out-of-core
@@ -133,14 +135,14 @@ impl Default for PowerConfig {
 /// **zero** per-solve allocation inside the solver.
 ///
 /// ```
-/// use sr_core::power::{power_method_in, PowerConfig, SolverWorkspace};
+/// use sr_core::power::{power_method, PowerConfig, SolverWorkspace};
 /// use sr_core::operator::UniformTransition;
 /// use sr_graph::GraphBuilder;
 ///
 /// let g = GraphBuilder::from_edges(vec![(0, 1), (1, 2), (2, 0)]);
 /// let op = UniformTransition::new(&g);
 /// let mut ws = SolverWorkspace::new();
-/// let stats = power_method_in(&op, &PowerConfig::default(), &mut ws);
+/// let stats = power_method(&op, &PowerConfig::default(), &mut ws, None);
 /// assert!(stats.converged);
 /// assert_eq!(ws.solution().len(), 3);
 /// ```
@@ -162,7 +164,7 @@ impl SolverWorkspace {
         SolverWorkspace::default()
     }
 
-    /// The solution left by the most recent [`power_method_in`] call.
+    /// The solution left by the most recent [`power_method`] call.
     pub fn solution(&self) -> &[f64] {
         &self.x
     }
@@ -241,51 +243,27 @@ fn fused_update_residual(
     )
 }
 
-/// Runs the damped power method over `op`, returning the stationary (or
-/// fixed-point) distribution and iteration diagnostics.
+/// Runs the damped power method over `op`. The stationary (or fixed-point)
+/// distribution is left in `ws` (read it with [`SolverWorkspace::solution`]
+/// or move it out with [`SolverWorkspace::take_solution`]); the return value
+/// is the iteration diagnostics. Same-sized repeated solves allocate nothing
+/// inside the solver beyond the residual history.
 ///
 /// The result is always L1-normalized — in the eigenvector formulation it is
 /// one by construction, in the linear-system formulation this is the final
 /// `σ/‖σ‖` step of the paper.
 ///
-/// Allocates a fresh [`SolverWorkspace`] per call; hot loops (repeated
-/// warm-started re-rankings) should hold one and call [`power_method_in`].
+/// With an `observer`, every iteration reports its residual and dangling
+/// mass (see `sr-obs`), bracketed by solve-start/solve-end callbacks. The
+/// solver label is `"power"` for the eigenvector formulation and `"jacobi"`
+/// for the linear-system one. The observer is consulted once per
+/// *iteration*, never inside the parallel sweeps, so `None` costs one
+/// branch against milliseconds of kernel work and changes no bit.
 ///
 /// # Panics
-/// Panics if `alpha` is outside `[0, 1)`.
-pub fn power_method(op: &dyn Transition, config: &PowerConfig) -> (Vec<f64>, IterationStats) {
-    let mut ws = SolverWorkspace::new();
-    let stats = power_method_in(op, config, &mut ws);
-    (ws.take_solution(), stats)
-}
-
-/// [`power_method`] with caller-owned buffers: the solution is left in
-/// `ws` (read it with [`SolverWorkspace::solution`] or move it out with
-/// [`SolverWorkspace::take_solution`]). Same-sized repeated solves allocate
-/// nothing inside the solver beyond the residual history.
-///
-/// # Panics
-/// Panics if `alpha` is outside `[0, 1)`.
-pub fn power_method_in(
-    op: &dyn Transition,
-    config: &PowerConfig,
-    ws: &mut SolverWorkspace,
-) -> IterationStats {
-    power_method_observed(op, config, ws, None)
-}
-
-/// [`power_method_in`] with telemetry: every iteration reports its residual
-/// and dangling mass to `observer` (see `sr-obs`), bracketed by
-/// solve-start/solve-end callbacks. The solver label is `"power"` for the
-/// eigenvector formulation and `"jacobi"` for the linear-system one.
-///
-/// Passing `None` is exactly [`power_method_in`] — the observer is consulted
-/// once per *iteration*, never inside the parallel sweeps, so the disabled
-/// path costs one branch against milliseconds of kernel work.
-///
-/// # Panics
-/// Panics if `alpha` is outside `[0, 1)`.
-pub fn power_method_observed(
+/// Panics if `alpha` is outside `[0, 1)` or the warm start is invalid (wrong
+/// length, negative or non-finite entries).
+pub fn power_method(
     op: &dyn Transition,
     config: &PowerConfig,
     ws: &mut SolverWorkspace,
@@ -318,20 +296,8 @@ pub fn power_method_observed(
     }
     config.teleport.write_dense(&mut ws.c);
     match &config.initial {
-        Some(x0) => {
-            assert_eq!(x0.len(), n, "warm-start vector length mismatch");
-            assert!(
-                x0.iter().all(|v| v.is_finite() && *v >= 0.0),
-                "warm-start vector must be finite and non-negative"
-            );
-            ws.x.copy_from_slice(x0);
-            vecops::normalize_l1(&mut ws.x);
-            if vecops::l1_norm(&ws.x) == 0.0 {
-                let (x, c) = (&mut ws.x, &ws.c);
-                x.copy_from_slice(c);
-            }
-        }
-        None => {
+        Some(x0) if load_warm_start(&mut ws.x, x0) => {}
+        _ => {
             let (x, c) = (&mut ws.x, &ws.c);
             x.copy_from_slice(c);
         }
@@ -373,6 +339,44 @@ pub fn power_method_observed(
         converged,
         residual_history: history,
     }
+}
+
+/// Loads warm-start vector `x0` into `x`, L1-normalized. Returns `false`
+/// when it normalizes to zero, in which case the caller starts from the
+/// teleport instead. Shared by the single-vector and batched solves, so a
+/// warm column of a batch starts from the same bits as the sequential solve.
+///
+/// # Panics
+/// Panics if `x0` is not `x.len()` long, or has a negative or non-finite
+/// entry.
+pub(crate) fn load_warm_start(x: &mut [f64], x0: &[f64]) -> bool {
+    assert_eq!(x0.len(), x.len(), "warm-start vector length mismatch");
+    assert!(
+        x0.iter().all(|v| v.is_finite() && *v >= 0.0),
+        "warm-start vector must be finite and non-negative"
+    );
+    x.copy_from_slice(x0);
+    vecops::normalize_l1(x);
+    vecops::l1_norm(x) != 0.0
+}
+
+/// Extends a warm-start vector computed before the graph grew to `n`
+/// states: the states `init` does not cover (pages or sources added since)
+/// start at their teleport mass.
+///
+/// # Panics
+/// Panics if `init` covers more than `n` states.
+pub(crate) fn pad_warm_start(init: &[f64], teleport: &Teleport, n: usize) -> Vec<f64> {
+    assert!(
+        init.len() <= n,
+        "warm-start vector covers more states than the operator"
+    );
+    let mut x0 = Vec::with_capacity(n);
+    x0.extend_from_slice(init);
+    for i in init.len()..n {
+        x0.push(teleport.mass(i, n));
+    }
+    x0
 }
 
 pub mod reference {
@@ -477,11 +481,19 @@ pub mod reference {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::operator::reference::NaiveUniformTransition;
     use crate::operator::{UniformTransition, WeightedTransition};
     use sr_graph::{GraphBuilder, WeightedGraph};
+
+    /// A cold solve in a fresh workspace, returning the solution with its
+    /// diagnostics — the unit tests' sequential reference.
+    pub(crate) fn run(op: &dyn Transition, config: &PowerConfig) -> (Vec<f64>, IterationStats) {
+        let mut ws = SolverWorkspace::new();
+        let stats = power_method(op, config, &mut ws, None);
+        (ws.take_solution(), stats)
+    }
 
     fn solve(edges: Vec<(u32, u32)>, n: usize, formulation: Formulation) -> Vec<f64> {
         let g = GraphBuilder::from_edges_exact(n, edges).unwrap();
@@ -490,7 +502,7 @@ mod tests {
             formulation,
             ..Default::default()
         };
-        power_method(&op, &config).0
+        run(&op, &config).0
     }
 
     #[test]
@@ -529,7 +541,7 @@ mod tests {
     fn eigenvector_iterates_sum_to_one() {
         let g = GraphBuilder::from_edges_exact(3, vec![(0, 1)]).unwrap(); // lots of dangling
         let op = UniformTransition::new(&g);
-        let (x, stats) = power_method(&op, &PowerConfig::default());
+        let (x, stats) = run(&op, &PowerConfig::default());
         assert!((vecops::l1_norm(&x) - 1.0).abs() < 1e-12);
         assert!(stats.converged);
     }
@@ -540,7 +552,7 @@ mod tests {
         // would converge in one step from the uniform start).
         let g = GraphBuilder::from_edges_exact(4, vec![(0, 3), (1, 3), (2, 3), (3, 0)]).unwrap();
         let op = UniformTransition::new(&g);
-        let (_, stats) = power_method(&op, &PowerConfig::default());
+        let (_, stats) = run(&op, &PowerConfig::default());
         assert!(stats.converged);
         assert!(stats.final_residual < 1e-9);
         assert_eq!(stats.iterations, stats.residual_history.len());
@@ -564,7 +576,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let (_, stats) = power_method(&op, &config);
+        let (_, stats) = run(&op, &config);
         assert!(!stats.converged);
         assert_eq!(stats.iterations, 2);
     }
@@ -576,7 +588,7 @@ mod tests {
         let g = WeightedGraph::from_parts(vec![0, 2, 3], vec![0, 1, 0], vec![0.5, 0.5, 1.0]);
         let op = WeightedTransition::new(&g);
         let a = 0.85;
-        let (x, _) = power_method(
+        let (x, _) = run(
             &op,
             &PowerConfig {
                 alpha: a,
@@ -599,8 +611,8 @@ mod tests {
             teleport: Teleport::over_seeds(3, &[2]),
             ..Default::default()
         };
-        let (xb, _) = power_method(&op, &biased);
-        let (xu, _) = power_method(&op, &PowerConfig::default());
+        let (xb, _) = run(&op, &biased);
+        let (xu, _) = run(&op, &PowerConfig::default());
         assert!(xb[2] > xu[2], "seeded teleport must lift node 2");
     }
 
@@ -621,13 +633,13 @@ mod tests {
         )
         .unwrap();
         let op = UniformTransition::new(&g);
-        let (cold, cold_stats) = power_method(&op, &PowerConfig::default());
+        let (cold, cold_stats) = run(&op, &PowerConfig::default());
         // Restart from the exact answer: should converge immediately.
         let warm_cfg = PowerConfig {
             initial: Some(cold.clone()),
             ..Default::default()
         };
-        let (warm, warm_stats) = power_method(&op, &warm_cfg);
+        let (warm, warm_stats) = run(&op, &warm_cfg);
         assert!(
             warm_stats.iterations <= 2,
             "restart took {} iterations",
@@ -643,11 +655,11 @@ mod tests {
     fn warm_start_from_perturbed_vector_still_correct() {
         let g = GraphBuilder::from_edges_exact(4, vec![(0, 3), (1, 3), (2, 3), (3, 0)]).unwrap();
         let op = UniformTransition::new(&g);
-        let (exact, _) = power_method(&op, &PowerConfig::default());
+        let (exact, _) = run(&op, &PowerConfig::default());
         let mut perturbed = exact.clone();
         perturbed[0] += 0.05;
         perturbed[3] -= 0.02;
-        let (warm, stats) = power_method(
+        let (warm, stats) = run(
             &op,
             &PowerConfig {
                 initial: Some(perturbed),
@@ -676,7 +688,7 @@ mod tests {
                 ..Default::default()
             };
             let (x_ref, s_ref) = reference::power_method_unfused(&naive, &cfg);
-            let (x_new, s_new) = power_method(&fused, &cfg);
+            let (x_new, s_new) = run(&fused, &cfg);
             assert_eq!(s_ref.iterations, s_new.iterations);
             assert_eq!(s_ref.residual_history, s_new.residual_history);
             assert_eq!(x_ref, x_new);
@@ -697,8 +709,8 @@ mod tests {
             dangling: DanglingPolicy::WeaklyPreferential,
             ..Default::default()
         };
-        let (xs, ss) = power_method(&op, &strong);
-        let (xw, sw) = power_method(&op, &weak);
+        let (xs, ss) = run(&op, &strong);
+        let (xw, sw) = run(&op, &weak);
         assert_eq!(xs, xw);
         assert_eq!(ss.residual_history, sw.residual_history);
     }
@@ -720,8 +732,8 @@ mod tests {
             dangling: DanglingPolicy::WeaklyPreferential,
             ..Default::default()
         };
-        let (xs, _) = power_method(&op, &strong);
-        let (xw, _) = power_method(&op, &weak);
+        let (xs, _) = run(&op, &strong);
+        let (xw, _) = run(&op, &weak);
         assert!(
             xs[0] > xw[0],
             "strong policy must recycle dangling mass into the seed: {} vs {}",
@@ -744,7 +756,7 @@ mod tests {
             ..Default::default()
         };
         let (x_ref, s_ref) = reference::power_method_unfused(&naive, &cfg);
-        let (x_new, s_new) = power_method(&fused, &cfg);
+        let (x_new, s_new) = run(&fused, &cfg);
         assert_eq!(s_ref.iterations, s_new.iterations);
         assert_eq!(s_ref.residual_history, s_new.residual_history);
         assert_eq!(x_ref, x_new);
@@ -760,8 +772,8 @@ mod tests {
             dangling,
             ..Default::default()
         };
-        let (xs, ss) = power_method(&op, &mk(DanglingPolicy::StronglyPreferential));
-        let (xw, sw) = power_method(&op, &mk(DanglingPolicy::WeaklyPreferential));
+        let (xs, ss) = run(&op, &mk(DanglingPolicy::StronglyPreferential));
+        let (xw, sw) = run(&op, &mk(DanglingPolicy::WeaklyPreferential));
         assert_eq!(xs, xw);
         assert_eq!(ss.residual_history, sw.residual_history);
     }
@@ -770,14 +782,21 @@ mod tests {
     fn workspace_reuses_across_differently_sized_solves() {
         let g1 = GraphBuilder::from_edges_exact(4, vec![(0, 3), (1, 3), (2, 3), (3, 0)]).unwrap();
         let g2 = GraphBuilder::from_edges_exact(3, vec![(0, 1), (1, 2), (2, 0)]).unwrap();
-        let cfg = PowerConfig::default();
         let mut ws = SolverWorkspace::new();
         for g in [&g1, &g2, &g1] {
             let op = UniformTransition::new(g);
-            let stats = power_method_in(&op, &cfg, &mut ws);
-            let (fresh, fresh_stats) = power_method(&op, &cfg);
-            assert_eq!(stats.iterations, fresh_stats.iterations);
-            assert_eq!(ws.solution(), &fresh[..]);
+            // Cold, then warm from a vector that is not the fixed point.
+            let warm = (0..g.num_nodes()).map(|v| 1.0 + v as f64).collect();
+            for initial in [None, Some(warm)] {
+                let cfg = PowerConfig {
+                    initial,
+                    ..Default::default()
+                };
+                let stats = power_method(&op, &cfg, &mut ws, None);
+                let (fresh, fresh_stats) = run(&op, &cfg);
+                assert_eq!(stats.iterations, fresh_stats.iterations);
+                assert_eq!(ws.solution(), &fresh[..]);
+            }
         }
         let taken = ws.take_solution();
         assert_eq!(taken.len(), 4);
@@ -793,7 +812,7 @@ mod tests {
             initial: Some(vec![1.0]),
             ..Default::default()
         };
-        power_method(&op, &cfg);
+        run(&op, &cfg);
     }
 
     #[test]
@@ -801,7 +820,7 @@ mod tests {
     fn alpha_one_rejected() {
         let g = GraphBuilder::from_edges(vec![(0, 1)]);
         let op = UniformTransition::new(&g);
-        power_method(
+        run(
             &op,
             &PowerConfig {
                 alpha: 1.0,
@@ -814,7 +833,7 @@ mod tests {
     fn empty_graph() {
         let g = sr_graph::CsrGraph::empty(0);
         let op = UniformTransition::new(&g);
-        let (x, stats) = power_method(&op, &PowerConfig::default());
+        let (x, stats) = run(&op, &PowerConfig::default());
         assert!(x.is_empty());
         assert!(stats.converged);
     }

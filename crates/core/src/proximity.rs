@@ -23,10 +23,10 @@ use std::fmt;
 use std::path::Path;
 
 use crate::approx::{ApproxError, ApproxPpr, QueryConfig, WalkCacheBuilder, WalkCacheConfig};
-use crate::batch::{solve_batch, SolveBatch, SolveColumn};
+use crate::batch::{solve_batch, BatchWorkspace, SolveBatch, SolveColumn};
 use crate::convergence::ConvergenceCriteria;
 use crate::operator::{Transition, UniformTransition, WeightedTransition};
-use crate::power::{power_method, Formulation, PowerConfig};
+use crate::power::{power_method, Formulation, PowerConfig, SolverWorkspace};
 use crate::rankvec::RankVector;
 use crate::teleport::{Teleport, TeleportError};
 use crate::throttle::ThrottleVector;
@@ -284,13 +284,18 @@ impl SpamProximity {
             ));
         }
         let batch = SolveBatch::new(columns).criteria(self.criteria);
+        let ws = &mut BatchWorkspace::new();
         let ranks = match self.weighting {
-            ProximityWeighting::Uniform => {
-                solve_batch(&Self::reversed_uniform(source_graph.structural()), &batch)
-            }
-            ProximityWeighting::Consensus => {
-                solve_batch(&Self::reversed_weighted(source_graph.transitions()), &batch)
-            }
+            ProximityWeighting::Uniform => solve_batch(
+                &Self::reversed_uniform(source_graph.structural()),
+                &batch,
+                ws,
+            ),
+            ProximityWeighting::Consensus => solve_batch(
+                &Self::reversed_weighted(source_graph.transitions()),
+                &batch,
+                ws,
+            ),
         };
         Ok(ranks.into_columns())
     }
@@ -327,8 +332,9 @@ impl SpamProximity {
             dangling: Default::default(),
             initial: None,
         };
-        let (scores, stats) = power_method(op, &config);
-        RankVector::new(scores, stats)
+        let mut ws = SolverWorkspace::new();
+        let stats = power_method(op, &config, &mut ws, None);
+        RankVector::new(ws.take_solution(), stats)
     }
 
     /// Builds the Monte-Carlo walk cache of the uniform (BadRank-style)

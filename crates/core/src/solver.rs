@@ -1,9 +1,14 @@
 //! Solver selection for weighted (source-level) transition matrices.
+//!
+//! [`solve_weighted`] is the one entry point for SourceRank and
+//! SR-SourceRank: the [`Solver`] picks the iteration, and the warm start,
+//! workspace and observer are arguments (`None`, a fresh workspace and
+//! `None` give a cold, unobserved solve).
 
 use crate::convergence::ConvergenceCriteria;
-use crate::gauss_seidel::gauss_seidel_observed;
+use crate::gauss_seidel::gauss_seidel;
 use crate::operator::WeightedTransition;
-use crate::power::{power_method_observed, Formulation, PowerConfig, SolverWorkspace};
+use crate::power::{pad_warm_start, power_method, Formulation, PowerConfig, SolverWorkspace};
 use crate::rankvec::RankVector;
 use crate::teleport::Teleport;
 use sr_graph::WeightedGraph;
@@ -24,54 +29,36 @@ pub enum Solver {
     GaussSeidel,
 }
 
+impl Solver {
+    /// The power-method formulation this solver iterates, or `None` for
+    /// Gauss–Seidel, which is not a power method.
+    pub(crate) fn formulation(self) -> Option<Formulation> {
+        match self {
+            Solver::Power => Some(Formulation::Eigenvector),
+            Solver::PowerLinear => Some(Formulation::LinearSystem),
+            Solver::GaussSeidel => None,
+        }
+    }
+}
+
 /// Solves the damped walk over a weighted transition matrix with the chosen
 /// solver. All solvers return an L1-normalized vector; on matrices without
 /// dangling rows they agree to solver tolerance.
-pub fn solve_weighted(
-    transitions: &WeightedGraph,
-    alpha: f64,
-    teleport: &Teleport,
-    criteria: &ConvergenceCriteria,
-    solver: Solver,
-) -> RankVector {
-    solve_weighted_observed(transitions, alpha, teleport, criteria, solver, None)
-}
-
-/// [`solve_weighted`] with telemetry: the chosen solver reports its
-/// per-iteration residuals (and dangling mass, where meaningful) to
-/// `observer` — see `sr-obs`. Passing `None` is exactly [`solve_weighted`].
-pub fn solve_weighted_observed(
-    transitions: &WeightedGraph,
-    alpha: f64,
-    teleport: &Teleport,
-    criteria: &ConvergenceCriteria,
-    solver: Solver,
-    observer: Option<&mut (dyn SolveObserver + '_)>,
-) -> RankVector {
-    solve_weighted_warm_observed(
-        transitions,
-        alpha,
-        teleport,
-        criteria,
-        solver,
-        None,
-        &mut SolverWorkspace::new(),
-        observer,
-    )
-}
-
-/// [`solve_weighted_observed`] with a warm restart and caller-owned solver
-/// buffers — the incremental re-ranking entry point.
 ///
 /// `initial`, when present, seeds the iteration with a previous solution.
 /// It may cover *fewer* states than `transitions` has (sources added since
 /// the vector was computed); missing entries start at their teleport mass,
-/// mirroring [`crate::PageRank::rank_warm_in`]. [`Solver::GaussSeidel`] has
-/// no warm path — its sweeps build the iterate in place from the diagonal
-/// split, not from an initial distribution — so it ignores `initial` and
-/// solves cold; both power solvers exploit the restart.
+/// as in [`crate::PageRank::rank_operator_warm_in`]. [`Solver::GaussSeidel`]
+/// has no warm path — its sweeps build the iterate in place from the
+/// diagonal split, not from an initial distribution — so it ignores
+/// `initial` and `ws` and solves cold; both power solvers exploit the
+/// restart and reuse `ws`.
+///
+/// With an `observer`, the chosen solver reports its per-iteration
+/// residuals (and dangling mass, where meaningful) — see `sr-obs`. `None`
+/// changes no bit of the result.
 #[allow(clippy::too_many_arguments)]
-pub fn solve_weighted_warm_observed(
+pub fn solve_weighted(
     transitions: &WeightedGraph,
     alpha: f64,
     teleport: &Teleport,
@@ -81,41 +68,22 @@ pub fn solve_weighted_warm_observed(
     ws: &mut SolverWorkspace,
     observer: Option<&mut (dyn SolveObserver + '_)>,
 ) -> RankVector {
-    match solver {
-        Solver::Power | Solver::PowerLinear => {
-            let formulation = if solver == Solver::Power {
-                Formulation::Eigenvector
-            } else {
-                Formulation::LinearSystem
-            };
+    match solver.formulation() {
+        Some(formulation) => {
             let n = transitions.num_nodes();
-            let x0 = initial.map(|init| {
-                assert!(
-                    init.len() <= n,
-                    "warm-start vector covers more states than the matrix"
-                );
-                let mut x0 = Vec::with_capacity(n);
-                x0.extend_from_slice(init);
-                for i in init.len()..n {
-                    x0.push(teleport.mass(i, n));
-                }
-                x0
-            });
-            let op = WeightedTransition::new(transitions);
             let config = PowerConfig {
                 alpha,
                 teleport: teleport.clone(),
                 criteria: *criteria,
                 formulation,
                 dangling: Default::default(),
-                initial: x0,
+                initial: initial.map(|init| pad_warm_start(init, teleport, n)),
             };
-            let stats = power_method_observed(&op, &config, ws, observer);
+            let stats = power_method(&WeightedTransition::new(transitions), &config, ws, observer);
             RankVector::new(ws.take_solution(), stats)
         }
-        Solver::GaussSeidel => {
-            let (scores, stats) =
-                gauss_seidel_observed(transitions, alpha, teleport, criteria, observer);
+        None => {
+            let (scores, stats) = gauss_seidel(transitions, alpha, teleport, criteria, observer);
             RankVector::new(scores, stats)
         }
     }
@@ -124,6 +92,25 @@ pub fn solve_weighted_warm_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::UniformTransition;
+    use crate::{PageRank, SourceRank};
+    use sr_graph::source_graph::{extract, SourceGraphConfig};
+    use sr_graph::{GraphBuilder, SourceAssignment};
+
+    fn solve(g: &WeightedGraph, solver: Solver, initial: Option<&[f64]>) -> RankVector {
+        let crit = ConvergenceCriteria::default();
+        let ws = &mut SolverWorkspace::new();
+        solve_weighted(
+            g,
+            0.85,
+            &Teleport::Uniform,
+            &crit,
+            solver,
+            initial,
+            ws,
+            None,
+        )
+    }
 
     fn ring() -> WeightedGraph {
         WeightedGraph::from_parts(
@@ -136,10 +123,9 @@ mod tests {
     #[test]
     fn all_solvers_agree() {
         let g = ring();
-        let crit = ConvergenceCriteria::default();
-        let a = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
-        let b = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::PowerLinear);
-        let c = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::GaussSeidel);
+        let a = solve(&g, Solver::Power, None);
+        let b = solve(&g, Solver::PowerLinear, None);
+        let c = solve(&g, Solver::GaussSeidel, None);
         for i in 0..3 {
             assert!((a.score(i) - b.score(i)).abs() < 1e-7);
             assert!((a.score(i) - c.score(i)).abs() < 1e-7);
@@ -149,19 +135,8 @@ mod tests {
     #[test]
     fn warm_restart_matches_cold_with_fewer_iterations() {
         let g = ring();
-        let crit = ConvergenceCriteria::default();
-        let cold = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
-        let mut ws = SolverWorkspace::new();
-        let warm = solve_weighted_warm_observed(
-            &g,
-            0.85,
-            &Teleport::Uniform,
-            &crit,
-            Solver::Power,
-            Some(cold.scores()),
-            &mut ws,
-            None,
-        );
+        let cold = solve(&g, Solver::Power, None);
+        let warm = solve(&g, Solver::Power, Some(cold.scores()));
         assert!(warm.stats().iterations <= 2);
         for i in 0..3 {
             assert!((warm.score(i) - cold.score(i)).abs() < 1e-9);
@@ -173,40 +148,56 @@ mod tests {
         // A warm vector over 2 of 3 states must still converge to the full
         // 3-state answer — the padding path new sources exercise.
         let g = ring();
-        let crit = ConvergenceCriteria::default();
-        let cold = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::Power);
-        let short = &cold.scores()[..2];
-        let warm = solve_weighted_warm_observed(
-            &g,
-            0.85,
-            &Teleport::Uniform,
-            &crit,
-            Solver::Power,
-            Some(short),
-            &mut SolverWorkspace::new(),
-            None,
-        );
+        let cold = solve(&g, Solver::Power, None);
+        let warm = solve(&g, Solver::Power, Some(&cold.scores()[..2]));
         assert!(warm.stats().converged);
         for i in 0..3 {
             assert!((warm.score(i) - cold.score(i)).abs() < 1e-8);
         }
+
+        // Through both models, under a seeded teleport whose padding is not
+        // uniform, a short warm vector must give exactly the result of the
+        // same vector padded by hand from the dense teleport. `Debug` prints
+        // every f64 round-trip exact, so equal renderings are equal bits.
+        let pages = GraphBuilder::from_edges_exact(
+            6,
+            vec![(0, 1), (1, 2), (2, 0), (3, 0), (4, 3), (5, 4), (2, 5)],
+        )
+        .unwrap();
+        let short = [0.4, 0.3, 0.2, 0.1];
+        let padded = |short: &[f64], teleport: &Teleport, n: usize| {
+            let mut x0 = short.to_vec();
+            x0.extend_from_slice(&teleport.to_dense(n)[short.len()..]);
+            x0
+        };
+        let ws = &mut SolverWorkspace::new();
+        let teleport = Teleport::over_seeds(6, &[1, 4]);
+        let x0 = padded(&short, &teleport, 6);
+        let pr = PageRank::builder().teleport(teleport).finish();
+        let op = UniformTransition::new(&pages);
+        assert_eq!(
+            format!(
+                "{:?}",
+                pr.rank_operator_warm_in(&op, Some(&short), ws, None)
+            ),
+            format!("{:?}", pr.rank_operator_warm_in(&op, Some(&x0), ws, None)),
+        );
+        let assignment = SourceAssignment::new(vec![0, 0, 1, 2, 2, 3], 4).unwrap();
+        let sources = extract(&pages, &assignment, SourceGraphConfig::consensus()).unwrap();
+        let teleport = Teleport::over_seeds(4, &[1, 3]);
+        let (short, x0) = (&short[..3], padded(&short[..3], &teleport, 4));
+        let sr = SourceRank::new().teleport(teleport);
+        assert_eq!(
+            format!("{:?}", sr.rank_warm_in(&sources, Some(short), ws, None)),
+            format!("{:?}", sr.rank_warm_in(&sources, Some(&x0), ws, None)),
+        );
     }
 
     #[test]
     fn gauss_seidel_ignores_warm_start() {
         let g = ring();
-        let crit = ConvergenceCriteria::default();
-        let cold = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, Solver::GaussSeidel);
-        let warm = solve_weighted_warm_observed(
-            &g,
-            0.85,
-            &Teleport::Uniform,
-            &crit,
-            Solver::GaussSeidel,
-            Some(cold.scores()),
-            &mut SolverWorkspace::new(),
-            None,
-        );
+        let cold = solve(&g, Solver::GaussSeidel, None);
+        let warm = solve(&g, Solver::GaussSeidel, Some(cold.scores()));
         assert_eq!(warm.scores(), cold.scores());
         assert_eq!(warm.stats().iterations, cold.stats().iterations);
     }
@@ -214,9 +205,8 @@ mod tests {
     #[test]
     fn solutions_are_normalized() {
         let g = ring();
-        let crit = ConvergenceCriteria::default();
         for solver in [Solver::Power, Solver::PowerLinear, Solver::GaussSeidel] {
-            let r = solve_weighted(&g, 0.85, &Teleport::Uniform, &crit, solver);
+            let r = solve(&g, solver, None);
             let sum: f64 = r.scores().iter().sum();
             assert!((sum - 1.0).abs() < 1e-12, "{solver:?} not normalized");
         }

@@ -8,15 +8,13 @@
 //! walker follows the self-edge with probability `ακ_i`, an out-edge with
 //! probability `α(1−κ_i)`, and teleports with probability `1−α`.
 
-use crate::batch::{solve_batch, MultiRankVector, SolveBatch, SolveColumn};
+use crate::batch::{solve_batch, BatchWorkspace, MultiRankVector, SolveBatch, SolveColumn};
 use crate::convergence::ConvergenceCriteria;
 use crate::operator::WeightedTransition;
-use crate::power::{Formulation, SolverWorkspace};
+use crate::power::SolverWorkspace;
 use crate::proximity::SpamProximity;
 use crate::rankvec::RankVector;
-use crate::solver::{
-    solve_weighted, solve_weighted_observed, solve_weighted_warm_observed, Solver,
-};
+use crate::solver::{solve_weighted, Solver};
 use crate::teleport::Teleport;
 use crate::throttle::{self, SelfEdgePolicy, ThrottleVector};
 use sr_graph::{SourceGraph, WeightedGraph};
@@ -219,27 +217,7 @@ impl SpamResilientModel {
 
     /// Computes the Spam-Resilient SourceRank vector σ.
     pub fn rank(&self) -> RankVector {
-        solve_weighted(
-            &self.throttled,
-            self.alpha,
-            &self.teleport,
-            &self.criteria,
-            self.solver,
-        )
-    }
-
-    /// [`rank`](SpamResilientModel::rank) with telemetry: the solve reports
-    /// its per-iteration residuals to `observer` (see `sr-obs`). Identical
-    /// scores and stats to [`rank`](SpamResilientModel::rank).
-    pub fn rank_observed(&self, observer: &mut dyn SolveObserver) -> RankVector {
-        solve_weighted_observed(
-            &self.throttled,
-            self.alpha,
-            &self.teleport,
-            &self.criteria,
-            self.solver,
-            Some(observer),
-        )
+        self.rank_warm_in(None, &mut SolverWorkspace::new(), None)
     }
 
     /// Solves many walk-parameter variants over this model's fixed `T″` in
@@ -256,18 +234,14 @@ impl SpamResilientModel {
     /// Panics if the model's solver is [`Solver::GaussSeidel`] — its
     /// sequential sweeps have no panel form; batch with a power solver.
     pub fn rank_batch(&self, columns: Vec<SolveColumn>) -> MultiRankVector {
-        let formulation = match self.solver {
-            Solver::Power => Formulation::Eigenvector,
-            Solver::PowerLinear => Formulation::LinearSystem,
-            Solver::GaussSeidel => {
-                panic!("Gauss-Seidel has no batched form; use a power solver for rank_batch")
-            }
-        };
+        let formulation = self.solver.formulation().unwrap_or_else(|| {
+            panic!("Gauss-Seidel has no batched form; use a power solver for rank_batch")
+        });
         let op = WeightedTransition::new(&self.throttled);
         let batch = SolveBatch::new(columns)
             .criteria(self.criteria)
             .formulation(formulation);
-        solve_batch(&op, &batch)
+        solve_batch(&op, &batch, &mut BatchWorkspace::new())
     }
 
     /// A [`SolveColumn`] carrying this model's α and teleport — the identity
@@ -276,19 +250,19 @@ impl SpamResilientModel {
         SolveColumn::new(self.alpha, self.teleport.clone())
     }
 
-    /// [`rank`](SpamResilientModel::rank) with a warm restart and
-    /// caller-owned solver buffers — the incremental re-ranking entry
+    /// [`rank`](SpamResilientModel::rank) with a warm restart, caller-owned
+    /// solver buffers and telemetry — the incremental re-ranking entry
     /// point. `initial` may cover fewer sources than the model (sources
     /// added since it was computed); missing entries start at their
-    /// teleport mass. See [`solve_weighted_warm_observed`] for the
-    /// Gauss–Seidel caveat.
+    /// teleport mass. See [`solve_weighted`] for the Gauss–Seidel caveat
+    /// and the observer.
     pub fn rank_warm_in(
         &self,
         initial: Option<&[f64]>,
         ws: &mut SolverWorkspace,
         observer: Option<&mut (dyn SolveObserver + '_)>,
     ) -> RankVector {
-        solve_weighted_warm_observed(
+        solve_weighted(
             &self.throttled,
             self.alpha,
             &self.teleport,

@@ -571,7 +571,8 @@ impl<'g, G: SolveGraph + ?Sized> Transition for StreamedTransition<'g, G> {
 mod tests {
     use super::*;
     use crate::operator::UniformTransition;
-    use crate::power::{power_method, PowerConfig};
+    use crate::power::tests::run;
+    use crate::power::PowerConfig;
     use sr_graph::transpose::transpose;
     use sr_graph::{CsrGraph, GraphBuilder};
 
@@ -621,8 +622,8 @@ mod tests {
         let streamed = StreamedTransition::new(&rev, &degs);
         let in_ram = UniformTransition::new(&g);
         let cfg = PowerConfig::default();
-        let (xs, ss) = power_method(&streamed, &cfg);
-        let (xr, sr) = power_method(&in_ram, &cfg);
+        let (xs, ss) = run(&streamed, &cfg);
+        let (xr, sr) = run(&in_ram, &cfg);
         assert_eq!(xs, xr);
         assert_eq!(ss.iterations, sr.iterations);
         assert_eq!(ss.residual_history, sr.residual_history);
@@ -644,8 +645,8 @@ mod tests {
         assert!(streamed.is_pipelined(), "sharded backend must pipeline");
         let in_ram = UniformTransition::new(&g);
         let cfg = PowerConfig::default();
-        let (xs, ss) = power_method(&streamed, &cfg);
-        let (xr, sr) = power_method(&in_ram, &cfg);
+        let (xs, ss) = run(&streamed, &cfg);
+        let (xr, sr) = run(&in_ram, &cfg);
         assert_eq!(xs, xr);
         assert_eq!(ss.iterations, sr.iterations);
         assert!(streamed.scratch_resident_bytes() > 0);
@@ -669,7 +670,7 @@ mod tests {
         let path = dir.join("g.shards");
         let sharded = sr_graph::shard::build_from_csr(&g, &dir, &path, 64).unwrap();
         let cfg = PowerConfig::default();
-        let (x_ram, _) = power_method(&UniformTransition::new(&g), &cfg);
+        let (x_ram, _) = run(&UniformTransition::new(&g), &cfg);
         for prefetch_buffers in [1, 2, 3] {
             for spans_per_worker in [1, 4, 16] {
                 for threads in [1, 4] {
@@ -681,8 +682,7 @@ mod tests {
                         };
                         let streamed = StreamedTransition::from_sharded_with(&sharded, pcfg);
                         assert!(streamed.is_pipelined());
-                        let (x, _) =
-                            sr_par::with_threads(threads, || power_method(&streamed, &cfg));
+                        let (x, _) = sr_par::with_threads(threads, || run(&streamed, &cfg));
                         assert_eq!(
                             x, x_ram,
                             "geometry moved bits: bufs={prefetch_buffers} \
@@ -735,7 +735,7 @@ mod tests {
 
         // Cache on vs cache off: identical bits over a full solve, and the
         // hot cache shows up in the resident accounting.
-        let (xc, sc) = power_method(&streamed, &cfg);
+        let (xc, sc) = run(&streamed, &cfg);
         let streaming = StreamedTransition::from_sharded_with(
             &sharded,
             PipelineConfig {
@@ -743,7 +743,7 @@ mod tests {
                 ..PipelineConfig::default()
             },
         );
-        let (xs, ss) = power_method(&streaming, &cfg);
+        let (xs, ss) = run(&streaming, &cfg);
         assert_eq!(xc, xs);
         assert_eq!(sc.iterations, ss.iterations);
         assert!(streamed.scratch_resident_bytes() > streaming.scratch_resident_bytes());

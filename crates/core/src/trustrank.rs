@@ -6,8 +6,7 @@
 
 use crate::batch::SolveColumn;
 use crate::convergence::ConvergenceCriteria;
-use crate::operator::UniformTransition;
-use crate::power::{power_method, Formulation, PowerConfig};
+use crate::pagerank::PageRank;
 use crate::rankvec::RankVector;
 use crate::teleport::Teleport;
 use sr_graph::CsrGraph;
@@ -49,17 +48,12 @@ impl TrustRank {
     /// Propagates trust from `trusted_seeds` forward over `graph`
     /// (personalized PageRank with the seed-restricted teleport).
     pub fn scores(&self, graph: &CsrGraph, trusted_seeds: &[u32]) -> RankVector {
-        let op = UniformTransition::new(graph);
-        let config = PowerConfig {
-            alpha: self.alpha,
-            teleport: Teleport::over_seeds(graph.num_nodes(), trusted_seeds),
-            criteria: self.criteria,
-            formulation: Formulation::Eigenvector,
-            dangling: Default::default(),
-            initial: None,
-        };
-        let (scores, stats) = power_method(&op, &config);
-        RankVector::new(scores, stats)
+        PageRank::builder()
+            .alpha(self.alpha)
+            .teleport(Teleport::over_seeds(graph.num_nodes(), trusted_seeds))
+            .criteria(self.criteria)
+            .finish()
+            .rank(graph)
     }
 
     /// The [`SolveColumn`] of this configuration for an `n`-node graph —
@@ -104,7 +98,7 @@ impl TrustRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagerank::PageRank;
+    use crate::operator::UniformTransition;
     use sr_graph::GraphBuilder;
 
     /// trusted(0) -> 1 -> 2; spam cluster {3,4} links only internally.
@@ -130,7 +124,7 @@ mod tests {
 
     #[test]
     fn batched_column_is_bitwise_equal_to_scores() {
-        use crate::batch::{solve_batch, SolveBatch};
+        use crate::batch::{solve_batch, BatchWorkspace, SolveBatch};
         let g = fixture();
         let tr = TrustRank::new();
         let seq = tr.scores(&g, &[0]);
@@ -139,7 +133,11 @@ mod tests {
             tr.column(g.num_nodes(), &[0]),
         ])
         .criteria(tr.stopping_criteria());
-        let batched = solve_batch(&UniformTransition::new(&g), &batch);
+        let batched = solve_batch(
+            &UniformTransition::new(&g),
+            &batch,
+            &mut BatchWorkspace::new(),
+        );
         assert_eq!(batched.column(1).scores(), seq.scores());
         assert_eq!(
             batched.column(0).scores(),

@@ -16,10 +16,20 @@
 
 use proptest::prelude::*;
 
-use sr_core::operator::{UniformTransition, WeightedTransition};
+use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
 use sr_core::power::{power_method, PowerConfig};
-use sr_core::{solve_batch, PageRank, SolveBatch, SolveColumn, Teleport, PANEL_WIDTH};
+use sr_core::{
+    solve_batch, BatchWorkspace, IterationStats, PageRank, SolveBatch, SolveColumn,
+    SolverWorkspace, Teleport, PANEL_WIDTH,
+};
 use sr_graph::{CompressedGraph, CsrGraph, GraphBuilder, WeightedGraph};
+
+/// A cold sequential solve in a fresh workspace.
+fn solve(op: &dyn Transition, config: &PowerConfig) -> (Vec<f64>, IterationStats) {
+    let mut ws = SolverWorkspace::new();
+    let stats = power_method(op, config, &mut ws, None);
+    (ws.take_solution(), stats)
+}
 
 /// A deterministic crawl-ish fixture: ring + forward chords + a dangling
 /// tail, large enough that panels see real mixing.
@@ -175,9 +185,9 @@ fn wide_mixed_alpha_batch_tiles_and_matches() {
         .map(|j| SolveColumn::new(0.50 + 0.04 * j as f64, Teleport::Uniform))
         .collect();
     let batch = SolveBatch::new(columns);
-    let result = solve_batch(&op, &batch);
+    let result = solve_batch(&op, &batch, &mut BatchWorkspace::new());
     for (j, col) in batch.columns.iter().enumerate() {
-        let (scores, stats) = power_method(
+        let (scores, stats) = solve(
             &op,
             &PowerConfig {
                 alpha: col.alpha,
@@ -212,9 +222,9 @@ fn warm_started_columns_stay_bitwise_sequential() {
         })
         .collect();
     let batch = SolveBatch::new(columns);
-    let result = solve_batch(&op, &batch);
+    let result = solve_batch(&op, &batch, &mut BatchWorkspace::new());
     for (j, col) in batch.columns.iter().enumerate() {
-        let (scores, stats) = power_method(
+        let (scores, stats) = solve(
             &op,
             &PowerConfig {
                 alpha: col.alpha,
@@ -254,9 +264,9 @@ fn weighted_operator_batch_is_bitwise_sequential() {
         .map(|j| SolveColumn::new(0.6 + 0.05 * j as f64, Teleport::Uniform))
         .collect();
     let batch = SolveBatch::new(columns);
-    let result = solve_batch(&op, &batch);
+    let result = solve_batch(&op, &batch, &mut BatchWorkspace::new());
     for (j, col) in batch.columns.iter().enumerate() {
-        let (scores, stats) = power_method(
+        let (scores, stats) = solve(
             &op,
             &PowerConfig {
                 alpha: col.alpha,

@@ -7,12 +7,26 @@
 //! contract end to end: identical rank bits *and* identical telemetry
 //! (iteration counts, full residual sequences) for the power method, the
 //! Jacobi (linear-system) sweep, and SR-SourceRank.
+//!
+//! Every solver has one entry point whose observer is optional, and passing
+//! `None` must be exactly the observed solve: the second half of the suite
+//! runs each entry point with `Some(RecordingObserver)` and with `None` and
+//! compares scores and `IterationStats` bit for bit.
 
-use sr_core::power::Formulation;
-use sr_core::{PageRank, SpamResilientSourceRank};
+use sr_core::batch::{solve_batch, BatchWorkspace, SolveBatch, SolveColumn};
+use sr_core::gauss_seidel::gauss_seidel;
+use sr_core::montecarlo::{estimate_stationary, WalkConfig};
+use sr_core::operator::{Transition, UniformTransition};
+use sr_core::power::{power_method, Formulation, PowerConfig};
+use sr_core::solver::{solve_weighted, Solver};
+use sr_core::{
+    ConvergenceCriteria, IterationStats, PageRank, RankVector, SolverWorkspace,
+    SpamResilientSourceRank, Teleport,
+};
 use sr_gen::{generate, Dataset};
 use sr_graph::source_graph::SourceGraphConfig;
-use sr_obs::{RecordingObserver, SolveTelemetry};
+use sr_graph::CsrGraph;
+use sr_obs::{RecordingObserver, SolveObserver, SolveTelemetry};
 
 struct Observed {
     rank_bits: Vec<u64>,
@@ -35,6 +49,12 @@ fn run_at(threads: usize, solve: &dyn Fn(&mut RecordingObserver) -> Vec<f64>) ->
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A cold PageRank of `pages` through the general entry point.
+fn page_rank(pr: &PageRank, pages: &CsrGraph, obs: Option<&mut dyn SolveObserver>) -> RankVector {
+    let op = UniformTransition::new(pages);
+    pr.rank_operator_warm_in(&op, None, &mut SolverWorkspace::new(), obs)
 }
 
 /// The invariance contract: ranks and telemetry bit-identical at 1 vs 8
@@ -83,44 +103,158 @@ fn page_and_source_ranks_are_thread_count_invariant() {
     let top_k = (sources.num_sources() / 30).max(1);
 
     assert_invariant("power", &|obs| {
-        PageRank::builder()
-            .finish()
-            .rank_observed(&crawl.pages, obs)
+        page_rank(&PageRank::default(), &crawl.pages, Some(obs))
             .scores()
             .to_vec()
     });
 
     assert_invariant("jacobi", &|obs| {
-        PageRank::builder()
+        let pr = PageRank::builder()
             .formulation(Formulation::LinearSystem)
-            .finish()
-            .rank_observed(&crawl.pages, obs)
-            .scores()
-            .to_vec()
+            .finish();
+        page_rank(&pr, &crawl.pages, Some(obs)).scores().to_vec()
     });
 
     assert_invariant("sr-sourcerank", &|obs| {
         SpamResilientSourceRank::builder()
             .throttle_by_proximity(spam.clone(), top_k, 0.85)
             .build(&sources)
-            .rank_observed(obs)
+            .rank_warm_in(None, &mut SolverWorkspace::new(), Some(obs))
             .scores()
             .to_vec()
     });
 }
 
+/// A solve's scores and every `IterationStats` field, in bits (Monte-Carlo
+/// estimates have no stats).
+type SolveBits = (Vec<u64>, Option<(usize, u64, bool, Vec<u64>)>);
+
+fn solve_bits(scores: &[f64], stats: Option<&IterationStats>) -> SolveBits {
+    let stats = stats.map(|s| {
+        let history = bits(&s.residual_history);
+        (
+            s.iterations,
+            s.final_residual.to_bits(),
+            s.converged,
+            history,
+        )
+    });
+    (bits(scores), stats)
+}
+
+/// A cold power solve of `op` in a fresh workspace, in bits.
+fn power_bits(
+    op: &dyn Transition,
+    config: &PowerConfig,
+    obs: Option<&mut dyn SolveObserver>,
+) -> SolveBits {
+    let mut ws = SolverWorkspace::new();
+    let stats = power_method(op, config, &mut ws, obs);
+    solve_bits(ws.solution(), Some(&stats))
+}
+
+fn rank_bits(r: &RankVector) -> SolveBits {
+    solve_bits(r.scores(), Some(r.stats()))
+}
+
+/// Runs `solve` with a recording observer and with `None`, asserts the two
+/// results are bit-identical and that the observer saw the solve's residual
+/// sequence, and returns the telemetry.
+fn assert_observer_changes_no_bit(
+    label: &str,
+    solve: &dyn Fn(Option<&mut dyn SolveObserver>) -> SolveBits,
+) -> SolveTelemetry {
+    let mut rec = RecordingObserver::new();
+    let observed = solve(Some(&mut rec));
+    assert_eq!(
+        observed,
+        solve(None),
+        "{label}: observer changed the result"
+    );
+    let t = rec.into_telemetry();
+    if let Some((iterations, _, converged, history)) = observed.1 {
+        assert_eq!(
+            (t.iterations, t.converged),
+            (iterations, converged),
+            "{label}"
+        );
+        assert_eq!(bits(&t.residuals), history, "{label}: residuals");
+    }
+    t
+}
+
 #[test]
-fn telemetry_labels_name_the_solver() {
+fn observed_and_unobserved_solves_are_bitwise_equal() {
     let crawl = generate(&Dataset::Uk2002.config(0.0005));
-    let mut obs = RecordingObserver::new();
-    PageRank::builder()
-        .finish()
-        .rank_observed(&crawl.pages, &mut obs);
-    assert_eq!(obs.telemetry().solver, "power");
-    let mut obs = RecordingObserver::new();
-    PageRank::builder()
-        .formulation(Formulation::LinearSystem)
-        .finish()
-        .rank_observed(&crawl.pages, &mut obs);
-    assert_eq!(obs.telemetry().solver, "jacobi");
+    let sources = crawl.source_graph(SourceGraphConfig::consensus());
+    let transitions = sources.transitions();
+    let pages = UniformTransition::new(&crawl.pages);
+    let criteria = ConvergenceCriteria::default();
+    let seeded = Teleport::over_seeds(crawl.pages.num_nodes(), &[0, 7]);
+    // Power in both formulations, through the page-level model; the
+    // telemetry label names the formulation.
+    for (formulation, label) in [
+        (Formulation::Eigenvector, "power"),
+        (Formulation::LinearSystem, "jacobi"),
+    ] {
+        let pr = PageRank::builder()
+            .formulation(formulation)
+            .teleport(seeded.clone())
+            .finish();
+        let t = assert_observer_changes_no_bit(label, &|obs| {
+            rank_bits(&page_rank(&pr, &crawl.pages, obs))
+        });
+        assert_eq!(t.solver, label);
+    }
+    for solver in [Solver::Power, Solver::PowerLinear, Solver::GaussSeidel] {
+        assert_observer_changes_no_bit(&format!("solve_weighted {solver:?}"), &|obs| {
+            let ws = &mut SolverWorkspace::new();
+            let uniform = &Teleport::Uniform;
+            rank_bits(&solve_weighted(
+                transitions,
+                0.85,
+                uniform,
+                &criteria,
+                solver,
+                None,
+                ws,
+                obs,
+            ))
+        });
+    }
+    let t = assert_observer_changes_no_bit("gauss_seidel", &|obs| {
+        let (scores, stats) = gauss_seidel(transitions, 0.85, &Teleport::Uniform, &criteria, obs);
+        solve_bits(&scores, Some(&stats))
+    });
+    assert_eq!(t.solver, "gauss_seidel");
+    let walk = WalkConfig {
+        walkers: 4,
+        steps: 2_000,
+        ..Default::default()
+    };
+    let t = assert_observer_changes_no_bit("estimate_stationary", &|obs| {
+        solve_bits(&estimate_stationary(transitions, &walk, obs), None)
+    });
+    assert_eq!(t.walkers, 4);
+
+    // The batched engine takes no observer: each column must carry the bits
+    // of the observed sequential solve of that column.
+    let columns = vec![
+        SolveColumn::new(0.85, Teleport::Uniform),
+        SolveColumn::new(0.6, seeded.clone()),
+    ];
+    let batched = solve_batch(
+        &pages,
+        &SolveBatch::new(columns.clone()),
+        &mut BatchWorkspace::new(),
+    );
+    for (col, got) in columns.into_iter().zip(batched.columns()) {
+        let config = PowerConfig {
+            alpha: col.alpha,
+            teleport: col.teleport,
+            ..Default::default()
+        };
+        let want = power_bits(&pages, &config, Some(&mut RecordingObserver::new()));
+        assert_eq!(rank_bits(got), want, "solve_batch column α = {}", col.alpha);
+    }
 }

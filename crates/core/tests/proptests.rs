@@ -7,8 +7,17 @@ use sr_core::operator::reference::{NaiveUniformTransition, NaiveWeightedTransiti
 use sr_core::operator::{Transition, UniformTransition, WeightedTransition};
 use sr_core::power::{power_method, reference::power_method_unfused, PowerConfig};
 use sr_core::throttle::{self, SelfEdgePolicy};
-use sr_core::{ConvergenceCriteria, PageRank, Teleport, ThrottleVector};
+use sr_core::{
+    ConvergenceCriteria, IterationStats, PageRank, SolverWorkspace, Teleport, ThrottleVector,
+};
 use sr_graph::{CompressedGraph, CsrGraph, GraphBuilder, WeightedGraph};
+
+/// A cold solve in a fresh workspace.
+fn solve(op: &dyn Transition, config: &PowerConfig) -> (Vec<f64>, IterationStats) {
+    let mut ws = SolverWorkspace::new();
+    let stats = power_method(op, config, &mut ws, None);
+    (ws.take_solution(), stats)
+}
 
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     (2u32..100).prop_flat_map(|n| {
@@ -112,7 +121,7 @@ proptest! {
         let fused_op = UniformTransition::new(&g);
         let naive_op = NaiveUniformTransition::new(&g);
         let config = PowerConfig::default();
-        let (scores_f, stats_f) = power_method(&fused_op, &config);
+        let (scores_f, stats_f) = solve(&fused_op, &config);
         let (scores_n, stats_n) = power_method_unfused(&naive_op, &config);
         prop_assert_eq!(stats_f.iterations, stats_n.iterations,
             "engines must take identical iteration counts");
@@ -200,7 +209,7 @@ proptest! {
     #[test]
     fn power_scores_positive_and_normalized(t in arb_stochastic()) {
         let op = WeightedTransition::new(&t);
-        let (x, stats) = power_method(&op, &PowerConfig::default());
+        let (x, stats) = solve(&op, &PowerConfig::default());
         prop_assert!(stats.converged);
         prop_assert!((x.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         prop_assert!(x.iter().all(|&v| v > 0.0), "uniform teleport implies strictly positive scores");
@@ -209,9 +218,9 @@ proptest! {
     #[test]
     fn warm_start_agrees_with_cold(t in arb_stochastic()) {
         let op = WeightedTransition::new(&t);
-        let (cold, _) = power_method(&op, &PowerConfig::default());
+        let (cold, _) = solve(&op, &PowerConfig::default());
         let cfg = PowerConfig { initial: Some(vec![1.0; t.num_nodes()]), ..Default::default() };
-        let (warm, _) = power_method(&op, &cfg);
+        let (warm, _) = solve(&op, &cfg);
         for (a, b) in cold.iter().zip(&warm) {
             prop_assert!((a - b).abs() < 1e-7);
         }

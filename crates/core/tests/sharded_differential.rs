@@ -12,14 +12,29 @@
 
 use proptest::prelude::*;
 
+use sr_core::operator::Transition;
 use sr_core::operator::UniformTransition;
 use sr_core::power::{power_method, DanglingPolicy, PowerConfig};
 use sr_core::streamed::{PipelineConfig, StreamedTransition};
-use sr_core::{PageRank, Teleport};
+use sr_core::{IterationStats, PageRank, RankVector, SolverWorkspace, Teleport};
 use sr_graph::{CsrGraph, GraphBuilder, ShardedCompressedGraph, SolveGraph};
 
 /// Distinguishes temp dirs across concurrently running proptest cases.
 static CASE_COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+/// A cold solve in a fresh workspace, returning the solution with its
+/// diagnostics.
+fn solve(op: &dyn Transition, config: &PowerConfig) -> (Vec<f64>, IterationStats) {
+    let mut ws = SolverWorkspace::new();
+    let stats = power_method(op, config, &mut ws, None);
+    (ws.take_solution(), stats)
+}
+
+/// `PageRank` of an on-disk sharded graph through the out-of-core operator.
+fn rank_sharded(pr: &PageRank, sharded: &ShardedCompressedGraph) -> RankVector {
+    let op = StreamedTransition::from_sharded(sharded);
+    pr.rank_operator_warm_in(&op, None, &mut SolverWorkspace::new(), None)
+}
 
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     (2u32..120).prop_flat_map(|n| {
@@ -64,8 +79,8 @@ proptest! {
             let streamed = StreamedTransition::from_sharded(&sharded);
             let in_ram = UniformTransition::new(&g);
             let cfg = PowerConfig::default();
-            let (xs, ss) = power_method(&streamed, &cfg);
-            let (xr, sr) = power_method(&in_ram, &cfg);
+            let (xs, ss) = solve(&streamed, &cfg);
+            let (xr, sr) = solve(&in_ram, &cfg);
             (xs, ss, xr, sr)
         });
         prop_assert_eq!(&xs, &xr, "scores diverged");
@@ -91,10 +106,10 @@ proptest! {
             ..Default::default()
         };
         let (x1, s1) = sr_par::with_threads(1, || {
-            power_method(&StreamedTransition::from_sharded(&sharded), &cfg)
+            solve(&StreamedTransition::from_sharded(&sharded), &cfg)
         });
         let (xn, sn) = sr_par::with_threads(threads, || {
-            power_method(&StreamedTransition::from_sharded(&sharded), &cfg)
+            solve(&StreamedTransition::from_sharded(&sharded), &cfg)
         });
         prop_assert_eq!(&x1, &xn);
         prop_assert_eq!(s1.iterations, sn.iterations);
@@ -120,12 +135,12 @@ proptest! {
     ) {
         let (sharded, dir) = shard_to_disk(&g, shard_bytes, 64);
         let cfg = PowerConfig::default();
-        let (xr, sr) = power_method(&UniformTransition::new(&g), &cfg);
+        let (xr, sr) = solve(&UniformTransition::new(&g), &cfg);
         let pcfg = PipelineConfig { prefetch_buffers, spans_per_worker, cache_bytes };
         let (xs, ss) = sr_par::with_threads(threads, || {
             let streamed = StreamedTransition::from_sharded_with(&sharded, pcfg);
             assert!(streamed.is_pipelined(), "sharded backend must pipeline");
-            power_method(&streamed, &cfg)
+            solve(&streamed, &cfg)
         });
         prop_assert_eq!(&xs, &xr, "scores diverged");
         prop_assert_eq!(ss.iterations, sr.iterations, "iteration counts diverged");
@@ -133,13 +148,14 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The public sharded entry point: `PageRank::rank_sharded` ≡
-    /// `PageRank::rank` on the equivalent in-RAM graph, bitwise.
+    /// The public out-of-core path: `PageRank::rank_operator_warm_in` over a
+    /// `StreamedTransition` ≡ `PageRank::rank` on the equivalent in-RAM
+    /// graph, bitwise.
     #[test]
     fn rank_sharded_matches_rank(g in arb_graph(), shard_bytes in 1usize..256) {
         let (sharded, dir) = shard_to_disk(&g, shard_bytes, 64);
         let pr = PageRank::default();
-        let on_disk = pr.rank_sharded(&sharded);
+        let on_disk = rank_sharded(&pr, &sharded);
         let in_ram = pr.rank(&g);
         prop_assert_eq!(on_disk.scores(), in_ram.scores());
         prop_assert_eq!(on_disk.stats().iterations, in_ram.stats().iterations);
@@ -168,12 +184,12 @@ fn pipelined_1_vs_8_workers_bitwise_identical() {
     let (x1, s1) = sr_par::with_threads(1, || {
         let t = StreamedTransition::from_sharded(&sharded);
         assert!(t.is_pipelined());
-        power_method(&t, &cfg)
+        solve(&t, &cfg)
     });
     let (x8, s8) = sr_par::with_threads(8, || {
         let t = StreamedTransition::from_sharded(&sharded);
         assert!(t.is_pipelined());
-        power_method(&t, &cfg)
+        solve(&t, &cfg)
     });
     assert_eq!(x1, x8, "1-worker and 8-worker pipelined solves diverged");
     assert_eq!(s1.iterations, s8.iterations);
@@ -185,7 +201,7 @@ fn pipelined_1_vs_8_workers_bitwise_identical() {
 fn single_node_graph_solves_out_of_core() {
     let g = GraphBuilder::from_edges_exact(1, vec![]).unwrap();
     let (sharded, dir) = shard_to_disk(&g, 1, 16);
-    let r = PageRank::default().rank_sharded(&sharded);
+    let r = rank_sharded(&PageRank::default(), &sharded);
     assert_eq!(r.scores(), &[1.0]);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -197,7 +213,7 @@ fn edgeless_graph_is_all_dangling_out_of_core() {
     let g = GraphBuilder::from_edges_exact(10, vec![]).unwrap();
     let (sharded, dir) = shard_to_disk(&g, 2, 16);
     assert!(sharded.num_edges() == 0);
-    let on_disk = PageRank::default().rank_sharded(&sharded);
+    let on_disk = rank_sharded(&PageRank::default(), &sharded);
     let in_ram = PageRank::default().rank(&g);
     assert_eq!(on_disk.scores(), in_ram.scores());
     std::fs::remove_dir_all(&dir).ok();
@@ -225,7 +241,7 @@ fn single_row_shards_partition_cleanly() {
                 "bound {b} not on a shard seam"
             );
         }
-        let on_disk = PageRank::default().rank_sharded(&sharded);
+        let on_disk = rank_sharded(&PageRank::default(), &sharded);
         let in_ram = PageRank::default().rank(&g);
         assert_eq!(on_disk.scores(), in_ram.scores());
     });

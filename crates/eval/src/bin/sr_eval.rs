@@ -243,7 +243,9 @@ fn run_convergence(config: &EvalConfig, csv_dir: &Option<PathBuf>) {
 /// trajectories, wall-times; graph build/compression stats; pool counters)
 /// into `--out` (a directory, default the working directory).
 fn run_telemetry(config: &EvalConfig, out_dir: &Option<PathBuf>) -> Result<(), String> {
-    use sr_core::montecarlo::{estimate_stationary_observed, WalkConfig};
+    use sr_core::montecarlo::{estimate_stationary, WalkConfig};
+    use sr_core::operator::UniformTransition;
+    use sr_core::SolverWorkspace;
     use sr_obs::{GraphStats, RecordingObserver, RunReport};
 
     eprintln!("[telemetry] WB2001 at scale {}...", config.scale);
@@ -269,31 +271,35 @@ fn run_telemetry(config: &EvalConfig, out_dir: &Option<PathBuf>) -> Result<(), S
         compression: Some(compressed.compression_stats()),
     });
 
+    let mut ws = SolverWorkspace::new();
     let mut obs = RecordingObserver::new();
-    sr_core::PageRank::builder()
-        .finish()
-        .rank_observed(pages, &mut obs);
+    sr_core::PageRank::default().rank_operator_warm_in(
+        &UniformTransition::new(pages),
+        None,
+        &mut ws,
+        Some(&mut obs),
+    );
     report.push_solve(obs.into_record("pagerank"));
 
     let mut obs = RecordingObserver::new();
-    sr_core::SourceRank::new().rank_observed(&ds.sources, &mut obs);
+    sr_core::SourceRank::new().rank_warm_in(&ds.sources, None, &mut ws, Some(&mut obs));
     report.push_solve(obs.into_record("sourcerank"));
 
     let mut obs = RecordingObserver::new();
     sr_core::SpamResilientSourceRank::builder()
         .throttle_by_proximity(ds.crawl.spam_sources.clone(), ds.throttle_k(), 0.85)
         .build(&ds.sources)
-        .rank_observed(&mut obs);
+        .rank_warm_in(None, &mut ws, Some(&mut obs));
     report.push_solve(obs.into_record("sr-sourcerank"));
 
     let mut obs = RecordingObserver::new();
     sr_core::SourceRank::new()
         .solver(sr_core::Solver::GaussSeidel)
-        .rank_observed(&ds.sources, &mut obs);
+        .rank_warm_in(&ds.sources, None, &mut ws, Some(&mut obs));
     report.push_solve(obs.into_record("sourcerank-gauss-seidel"));
 
     let mut obs = RecordingObserver::new();
-    estimate_stationary_observed(
+    estimate_stationary(
         ds.sources.transitions(),
         &WalkConfig::default(),
         Some(&mut obs),

@@ -22,8 +22,8 @@
 use sr_core::hits::hits;
 use sr_core::operator::UniformTransition;
 use sr_core::{
-    solve_batch, ConvergenceCriteria, PageRank, RankVector, SolveBatch, SpamResilientSourceRank,
-    TrustRank,
+    solve_batch, BatchWorkspace, ConvergenceCriteria, PageRank, RankVector, SolveBatch,
+    SpamResilientSourceRank, TrustRank,
 };
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::{CsrGraph, SourceAssignment};
@@ -89,7 +89,11 @@ fn measure(
         trustrank.column(pages.num_nodes(), trusted),
     ])
     .criteria(trustrank.stopping_criteria());
-    let panel = solve_batch(&UniformTransition::new(pages), &batch);
+    let panel = solve_batch(
+        &UniformTransition::new(pages),
+        &batch,
+        &mut BatchWorkspace::new(),
+    );
     let pr = panel.column(0).percentile(target_page);
     let tr = panel.column(1).percentile(target_page);
     let h = authority_vector(pages).percentile(target_page);

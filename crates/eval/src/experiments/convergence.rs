@@ -7,7 +7,7 @@
 //! analysis section discusses, plus the empirical contraction rate (which
 //! theory predicts approaches α for the power method).
 
-use sr_core::{ConvergenceCriteria, Solver, Teleport};
+use sr_core::{ConvergenceCriteria, Solver, SolverWorkspace, Teleport};
 
 use crate::datasets::EvalDataset;
 use crate::report::Table;
@@ -40,6 +40,9 @@ pub fn run(ds: &EvalDataset, alphas: &[f64]) -> Vec<ConvergenceRow> {
                     &Teleport::Uniform,
                     &crit,
                     solver,
+                    None,
+                    &mut SolverWorkspace::new(),
+                    None,
                 )
             };
             let power = solve(Solver::Power);

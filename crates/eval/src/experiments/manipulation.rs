@@ -6,6 +6,7 @@
 //! target *page* under PageRank and of the target *source* under throttled
 //! Spam-Resilient SourceRank.
 
+use sr_core::operator::UniformTransition;
 use sr_core::{PageRank, SpamProximity, SpamResilientSourceRank, ThrottleVector};
 use sr_graph::source_graph::{extract, SourceGraphConfig};
 use sr_graph::SourceId;
@@ -135,8 +136,12 @@ pub fn run(ds: &EvalDataset, cfg: &EvalConfig, mode: Mode) -> ManipulationResult
             // Warm-start from the clean ranking: the attack is a localized
             // mutation, so the previous vector is near the new fixed point
             // (identical result, roughly half the iterations).
-            let pr_attacked =
-                PageRank::default().rank_warm_in(&attack.pages, pr_clean.scores(), &mut ws);
+            let pr_attacked = PageRank::default().rank_operator_warm_in(
+                &UniformTransition::new(&attack.pages),
+                Some(pr_clean.scores()),
+                &mut ws,
+                None,
+            );
             let sg_attacked = extract(
                 &attack.pages,
                 &attack.assignment,

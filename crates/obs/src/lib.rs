@@ -9,11 +9,11 @@
 //! workspace dependency graph (even `sr-par` builds on it). It defines:
 //!
 //! * [`SolveObserver`] — a callback trait the iterative solvers in `sr-core`
-//!   thread through their inner loops. Every solver entry point has an
-//!   observer-free form that passes no observer at all, so the *disabled*
-//!   path costs nothing: no allocation, no branch inside the per-element
-//!   kernels, just one `Option` check per **iteration** (a few dozen
-//!   nanoseconds against milliseconds of sweep work).
+//!   thread through their inner loops. Every solver entry point takes an
+//!   optional observer, and passing `None` makes the *disabled* path cost
+//!   nothing: no allocation, no branch inside the per-element kernels, just
+//!   one `Option` check per **iteration** (a few dozen nanoseconds against
+//!   milliseconds of sweep work).
 //! * [`RecordingObserver`] — the standard implementation: captures the
 //!   per-iteration residual trajectory, dangling mass, and wall time of one
 //!   solve into a [`SolveTelemetry`].
@@ -68,54 +68,6 @@ pub trait SolveObserver {
     /// The solve finished (converged or hit its iteration cap).
     fn on_solve_end(&mut self, iterations: usize, final_residual: f64, converged: bool) {
         let _ = (iterations, final_residual, converged);
-    }
-}
-
-/// An observer that ignores everything — handy for tests and defaults.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl SolveObserver for NullObserver {}
-
-/// Per-column observer fan-out for batched (multi-vector) solves: one
-/// optional [`SolveObserver`] slot per batch column. The batched engine in
-/// `sr-core` fires each column's callbacks exactly as a sequential solve of
-/// that column would — `on_solve_start` when its panel starts,
-/// `on_iteration` once per sweep while the column is active, `on_solve_end`
-/// when the column converges or the batch hits its iteration cap. Columns
-/// without an observer cost one `None` check per iteration.
-#[derive(Default)]
-pub struct ObserverFanout<'a> {
-    slots: Vec<Option<&'a mut (dyn SolveObserver + 'a)>>,
-}
-
-impl<'a> ObserverFanout<'a> {
-    /// A fan-out with `columns` empty slots.
-    pub fn new(columns: usize) -> Self {
-        let mut slots = Vec::with_capacity(columns);
-        slots.resize_with(columns, || None);
-        ObserverFanout { slots }
-    }
-
-    /// Number of column slots.
-    pub fn num_columns(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Attaches `observer` to `column`.
-    ///
-    /// # Panics
-    /// Panics if `column` is out of range.
-    pub fn set(&mut self, column: usize, observer: &'a mut (dyn SolveObserver + 'a)) {
-        self.slots[column] = Some(observer);
-    }
-
-    /// The observer attached to `column`, if any (and the column exists).
-    pub fn column(&mut self, column: usize) -> Option<&mut (dyn SolveObserver + 'a)> {
-        match self.slots.get_mut(column) {
-            Some(Some(obs)) => Some(&mut **obs),
-            _ => None,
-        }
     }
 }
 
@@ -725,11 +677,6 @@ mod tests {
         obs.on_solve_end(2, 0.0, true);
         assert_eq!(obs.telemetry().walkers, 2);
         assert_eq!(obs.telemetry().walker_steps, 200);
-    }
-
-    #[test]
-    fn null_observer_accepts_everything() {
-        run_fake_solve(&mut NullObserver);
     }
 
     #[test]

@@ -47,13 +47,13 @@ fn main() {
             steps,
             ..Default::default()
         };
-        let est = estimate_stationary(model.transitions(), &cfg);
+        let est = estimate_stationary(model.transitions(), &cfg, None);
         let err = vecops::l1_distance(exact.scores(), &est);
         println!("{walkers:>12} {steps:>14} {err:>18.5}");
     }
 
     println!("\ntop 5 sources, algebra vs simulation (64 walkers x 20k steps):");
-    let est = estimate_stationary(model.transitions(), &WalkConfig::default());
+    let est = estimate_stationary(model.transitions(), &WalkConfig::default(), None);
     for &s in exact.top_k(5).iter() {
         println!(
             "  source {:<4} exact {:.5}   simulated {:.5}",

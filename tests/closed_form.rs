@@ -45,7 +45,9 @@ fn solve(g: &WeightedGraph) -> Vec<f64> {
         initial: None,
         dangling: Default::default(),
     };
-    sr_core::power::power_method(&op, &config).0
+    let mut ws = sr_core::SolverWorkspace::new();
+    sr_core::power::power_method(&op, &config, &mut ws, None);
+    ws.take_solution()
 }
 
 #[test]
@@ -140,6 +142,7 @@ fn gauss_seidel_reaches_the_same_fixed_points() {
             tolerance: 1e-13,
             ..Default::default()
         },
+        None,
     );
     assert!(stats.converged);
     // gauss_seidel normalizes; compare against normalized closed forms.

@@ -10,7 +10,7 @@
 //! trips these assertions.
 
 use sr_core::operator::WeightedTransition;
-use sr_core::power::{power_method_observed, Formulation, PowerConfig, SolverWorkspace};
+use sr_core::power::{power_method, Formulation, PowerConfig, SolverWorkspace};
 use sr_core::{ConvergenceCriteria, SourceRank, Teleport};
 use sr_graph::WeightedGraph;
 use sr_obs::{RecordingObserver, SolveTelemetry};
@@ -86,7 +86,7 @@ fn power_method_trajectory_is_golden_on_collusion_fixture() {
         };
         let mut ws = SolverWorkspace::new();
         let mut obs = RecordingObserver::new();
-        power_method_observed(&op, &config, &mut ws, Some(&mut obs));
+        power_method(&op, &config, &mut ws, Some(&mut obs));
         let t = obs.telemetry();
         assert_eq!(t.solver, "jacobi");
         assert_golden(&format!("jacobi x={x} kappa={kappa}"), t, 1e-9);
@@ -107,7 +107,7 @@ fn eigenvector_power_trajectory_is_golden() {
     };
     let mut ws = SolverWorkspace::new();
     let mut obs = RecordingObserver::new();
-    power_method_observed(&op, &config, &mut ws, Some(&mut obs));
+    power_method(&op, &config, &mut ws, Some(&mut obs));
     let t = obs.telemetry();
     assert_eq!(t.solver, "power");
     assert_golden("power", t, 1e-9);
@@ -117,7 +117,7 @@ fn eigenvector_power_trajectory_is_golden() {
 fn gauss_seidel_trajectory_is_golden() {
     let g = collusion_graph(12, 5, 0.6);
     let mut obs = RecordingObserver::new();
-    sr_core::gauss_seidel::gauss_seidel_observed(
+    sr_core::gauss_seidel::gauss_seidel(
         &g,
         0.85,
         &Teleport::Uniform,
@@ -142,7 +142,8 @@ fn public_sourcerank_api_records_a_golden_trajectory() {
     let sg = extract(&g, &a, SourceGraphConfig::consensus()).unwrap();
 
     let mut obs = RecordingObserver::new();
-    let ranked = SourceRank::new().rank_observed(&sg, &mut obs);
+    let ranked =
+        SourceRank::new().rank_warm_in(&sg, None, &mut SolverWorkspace::new(), Some(&mut obs));
     let t = obs.telemetry();
     assert_golden("sourcerank", t, 1e-9);
     // Telemetry and the public stats view agree.

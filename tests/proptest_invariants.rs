@@ -226,10 +226,11 @@ proptest! {
         // Wrap the stochastic matrix as a SourceGraph-free solve and check
         // Power vs Gauss-Seidel agreement on arbitrary chains.
         let crit = ConvergenceCriteria::default();
-        let a = sr_core::solver::solve_weighted(
-            &t, 0.85, &Teleport::Uniform, &crit, sr_core::Solver::Power);
-        let b = sr_core::solver::solve_weighted(
-            &t, 0.85, &Teleport::Uniform, &crit, sr_core::Solver::GaussSeidel);
+        let solve = |solver| sr_core::solver::solve_weighted(
+            &t, 0.85, &Teleport::Uniform, &crit, solver, None,
+            &mut sr_core::SolverWorkspace::new(), None);
+        let a = solve(sr_core::Solver::Power);
+        let b = solve(sr_core::Solver::GaussSeidel);
         for i in 0..t.num_nodes() as u32 {
             prop_assert!((a.score(i) - b.score(i)).abs() < 1e-6,
                 "node {i}: {} vs {}", a.score(i), b.score(i));
